@@ -171,7 +171,10 @@ impl Default for SgmConfig {
     }
 }
 
-/// Overhead accounting, reported by the experiment harness.
+/// Overhead accounting, reported by the experiment harness. Checkpoints
+/// carry every field except the three wall-clock ones
+/// (`last_rebuild_seconds`, `refresh_seconds`, `last_patch_seconds`),
+/// which measure the current process only.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SgmStats {
     /// Completed score refreshes.
@@ -236,17 +239,14 @@ impl SgmSampler {
     /// Builds the initial PGM and clustering over `interior` and returns a
     /// ready sampler. The first epoch (before any loss probe) is the whole
     /// dataset shuffled — equivalent to uniform sampling, as in the paper's
-    /// warm-up while S1/S2 complete.
+    /// warm-up while S1/S2 complete. The background rebuild thread is
+    /// spawned only when `cfg.background` is set and `tau_g > 0`; with
+    /// rebuilds off it would never get work.
     ///
     /// # Panics
     /// Panics if the cloud is empty or `spatial_dims` exceeds its dimension.
     pub fn new(interior: &PointCloud, cfg: SgmConfig) -> Self {
-        let builder = if cfg.background {
-            Some(BackgroundBuilder::spawn())
-        } else {
-            None
-        };
-        Self::build(interior, cfg, builder)
+        Self::init(interior, cfg, None, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`SgmSampler::new`] but with a caller-supplied background
@@ -257,54 +257,101 @@ impl SgmSampler {
     /// # Panics
     /// Panics if the cloud is empty or `spatial_dims` exceeds its dimension.
     pub fn with_builder(interior: &PointCloud, cfg: SgmConfig, builder: BackgroundBuilder) -> Self {
-        Self::build(interior, cfg, Some(builder))
+        Self::init(interior, cfg, Some(builder), None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn build(interior: &PointCloud, cfg: SgmConfig, builder: Option<BackgroundBuilder>) -> Self {
-        assert!(!interior.is_empty(), "empty interior cloud");
-        assert!(
-            cfg.spatial_dims >= 1 && cfg.spatial_dims <= interior.dim(),
-            "bad spatial_dims"
-        );
+    /// Rebuilds a sampler from a [`Sampler::save_state`] value without
+    /// the initial PGM build: the clustering is the state's
+    /// `assignment`, validated by [`Sampler::load_state`]. From here on
+    /// it behaves exactly like [`SgmSampler::new`] followed by
+    /// `load_state` (same batches, same `save_state` bytes), for the
+    /// cost of a projection instead of a kNN + ER + LRD build.
+    ///
+    /// In incremental mode with `tau_g > 0` the initial build still
+    /// runs: it warms the inline delta engine, whose later reports feed
+    /// the checkpointed `points_rescored`/`edges_patched`.
+    ///
+    /// # Errors
+    /// Returns a message for an empty cloud, a `spatial_dims` outside
+    /// the cloud's dimension, or a state `load_state` rejects.
+    pub fn restore(interior: &PointCloud, cfg: SgmConfig, state: &Value) -> Result<Self, String> {
+        Self::init(interior, cfg, None, Some(state))
+    }
+
+    /// The constructor behind [`SgmSampler::new`], [`SgmSampler::with_builder`]
+    /// and [`SgmSampler::restore`]: projects the cloud, runs the initial
+    /// build unless a `state` replaces its result, loads the state, and
+    /// spawns the default builder when none is supplied and τ_G rebuilds
+    /// are on.
+    fn init(
+        interior: &PointCloud,
+        cfg: SgmConfig,
+        builder: Option<BackgroundBuilder>,
+        state: Option<&Value>,
+    ) -> Result<Self, String> {
+        if interior.is_empty() {
+            return Err("empty interior cloud".into());
+        }
+        if cfg.spatial_dims < 1 || cfg.spatial_dims > interior.dim() {
+            return Err("bad spatial_dims".into());
+        }
         let spatial = if cfg.spatial_dims < interior.dim() {
             interior.project(cfg.spatial_dims)
         } else {
             interior.clone()
         };
-        let cloud = Arc::new(spatial);
-        let req = RebuildRequest {
-            cloud: cloud.clone(),
-            knn: Self::knn_config(&cfg, cfg.seed),
-            lrd: Self::lrd_config(&cfg, cfg.seed),
-            incremental: cfg.incremental.clone(),
-        };
-        let mut inline_worker = RebuildWorker::new();
-        let t_build = Instant::now();
-        let output = inline_worker.run(&req);
-        let build_seconds = t_build.elapsed().as_secs_f64();
         let n = interior.len();
         let mut rng = Rng64::new(cfg.seed ^ 0xE90C);
         let mut epoch: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut epoch);
+        let warms_engine = cfg.incremental.is_some() && cfg.tau_g > 0;
         let mut sampler = SgmSampler {
             cfg,
-            cloud,
-            clustering: output.clustering,
+            cloud: Arc::new(spatial),
+            // Replaced by the initial build or by `load_state` below.
+            clustering: Clustering::from_assignment(Vec::new()),
             epoch,
             cursor: 0,
-            builder,
-            inline_worker,
-            stats: SgmStats {
-                rebuilds_completed: 1,
-                last_rebuild_seconds: build_seconds,
-                ..SgmStats::default()
-            },
+            builder: None,
+            inline_worker: RebuildWorker::new(),
+            stats: SgmStats::default(),
             rebuild_counter: 0,
         };
-        if let Some(rs) = &output.refresh {
-            sampler.apply_refresh_stats(rs);
+        if state.is_none() || warms_engine {
+            sampler.initial_build();
         }
-        sampler
+        if let Some(state) = state {
+            sampler.load_state(state)?;
+        }
+        sampler.builder = builder.or_else(|| {
+            (sampler.cfg.background && sampler.cfg.tau_g > 0).then(BackgroundBuilder::spawn)
+        });
+        Ok(sampler)
+    }
+
+    /// S1–S2 over the current cloud on the calling thread.
+    fn initial_build(&mut self) {
+        let req = self.rebuild_request(self.cloud.clone(), self.cfg.seed);
+        let t_build = Instant::now();
+        let output = self.inline_worker.run(&req);
+        self.clustering = output.clustering;
+        self.stats = SgmStats {
+            rebuilds_completed: 1,
+            last_rebuild_seconds: t_build.elapsed().as_secs_f64(),
+            ..SgmStats::default()
+        };
+        if let Some(rs) = &output.refresh {
+            self.apply_refresh_stats(rs);
+        }
+    }
+
+    fn rebuild_request(&self, cloud: Arc<PointCloud>, seed: u64) -> RebuildRequest {
+        RebuildRequest {
+            cloud,
+            knn: Self::knn_config(&self.cfg, seed),
+            lrd: Self::lrd_config(&self.cfg, seed),
+            incremental: self.cfg.incremental.clone(),
+        }
     }
 
     fn knn_config(cfg: &SgmConfig, seed: u64) -> KnnConfig {
@@ -451,12 +498,7 @@ impl SgmSampler {
             flat.extend_from_slice(&points.point(i)[..d_sp]);
         }
         self.cloud = Arc::new(PointCloud::from_flat(d_sp, flat));
-        let req = RebuildRequest {
-            cloud: self.cloud.clone(),
-            knn: Self::knn_config(&self.cfg, self.cfg.seed),
-            lrd: Self::lrd_config(&self.cfg, self.cfg.seed),
-            incremental: self.cfg.incremental.clone(),
-        };
+        let req = self.rebuild_request(self.cloud.clone(), self.cfg.seed);
         self.rebuild_inline(&req);
         let mut rng = Rng64::new(self.cfg.seed ^ 0xAD47 ^ points.epoch());
         self.epoch = (0..points.len()).collect();
@@ -546,12 +588,7 @@ impl Sampler for SgmSampler {
             } else {
                 self.cfg.seed ^ self.rebuild_counter
             };
-            let req = RebuildRequest {
-                cloud,
-                knn: Self::knn_config(&self.cfg, rebuild_seed),
-                lrd: Self::lrd_config(&self.cfg, rebuild_seed),
-                incremental: self.cfg.incremental.clone(),
-            };
+            let req = self.rebuild_request(cloud, rebuild_seed);
             match &mut self.builder {
                 Some(b) => match b.request(req.clone()) {
                     Ok(true) => self.stats.rebuilds_requested += 1,
@@ -681,8 +718,10 @@ impl Sampler for SgmSampler {
     }
 
     /// Serialises the clustering assignment, current epoch and overhead
-    /// stats. A rebuild in flight on the background thread is *not*
-    /// captured — after a restore the next `τ_G` event requests it again.
+    /// counters. The wall-clock stats are left out, so identical runs
+    /// write identical bytes. A rebuild in flight on the background
+    /// thread is *not* captured — after a restore the next `τ_G` event
+    /// requests it again.
     fn save_state(&self) -> Value {
         let num = |v: f64| Value::Num(v);
         let arr_usize = |it: &[usize]| Value::Arr(it.iter().map(|&i| num(i as f64)).collect());
@@ -721,20 +760,12 @@ impl Sampler for SgmSampler {
             num(self.stats.rebuilds_stale_served as f64),
         );
         obj.insert(
-            "last_rebuild_seconds".to_string(),
-            num(self.stats.last_rebuild_seconds),
-        );
-        obj.insert(
             "probe_evals".to_string(),
             num(self.stats.probe_evals as f64),
         );
         obj.insert(
             "worker_deaths".to_string(),
             num(self.stats.worker_deaths as f64),
-        );
-        obj.insert(
-            "refresh_seconds".to_string(),
-            num(self.stats.refresh_seconds),
         );
         obj.insert(
             "points_rescored".to_string(),
@@ -748,10 +779,6 @@ impl Sampler for SgmSampler {
             "last_dirty_fraction".to_string(),
             num(self.stats.last_dirty_fraction),
         );
-        obj.insert(
-            "last_patch_seconds".to_string(),
-            num(self.stats.last_patch_seconds),
-        );
         Value::Obj(obj)
     }
 
@@ -763,6 +790,8 @@ impl Sampler for SgmSampler {
                 .map(|v| v as usize)
                 .ok_or_else(|| format!("sgm state: missing {key}"))
         };
+        // Counters absent from older checkpoints default to 0.
+        let opt_usize = |key: &str| state.get(key).and_then(Value::as_u64).unwrap_or(0) as usize;
         let get_arr = |key: &str| -> Result<Vec<usize>, String> {
             state
                 .get(key)
@@ -784,7 +813,22 @@ impl Sampler for SgmSampler {
                 assignment.len()
             ));
         }
+        // `Clustering::from_assignment` wants labels 0..k, each used.
+        let k = assignment.iter().max().map_or(0, |&m| m.saturating_add(1));
+        let mut used = vec![false; k.min(n)];
+        for &c in &assignment {
+            match used.get_mut(c) {
+                Some(u) => *u = true,
+                None => return Err(format!("sgm state: cluster label {c} for {n} points")),
+            }
+        }
+        if used.contains(&false) {
+            return Err("sgm state: cluster labels are not contiguous".to_string());
+        }
         let epoch = get_arr("epoch")?;
+        if epoch.is_empty() {
+            return Err("sgm state: empty epoch".to_string());
+        }
         if epoch.iter().any(|&i| i >= n) {
             return Err("sgm state: epoch index out of range".to_string());
         }
@@ -792,54 +836,35 @@ impl Sampler for SgmSampler {
         if cursor > epoch.len() {
             return Err("sgm state: cursor past epoch end".to_string());
         }
+        let rebuild_counter = get_usize("rebuild_counter")? as u64;
+        let refreshes = get_usize("refreshes")?;
+        let rebuilds_requested = get_usize("rebuilds_requested")?;
+        let rebuilds_applied = get_usize("rebuilds_applied")?;
+        let probe_evals = get_usize("probe_evals")?;
         self.clustering =
             Clustering::from_assignment(assignment.iter().map(|&c| c as u32).collect());
         self.epoch = epoch;
         self.cursor = cursor;
-        self.rebuild_counter = get_usize("rebuild_counter")? as u64;
-        self.stats.refreshes = get_usize("refreshes")?;
-        self.stats.rebuilds_requested = get_usize("rebuilds_requested")?;
-        self.stats.rebuilds_applied = get_usize("rebuilds_applied")?;
-        self.stats.probe_evals = get_usize("probe_evals")?;
-        // Absent in checkpoints written before worker-death tracking.
-        self.stats.worker_deaths = state
-            .get("worker_deaths")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        // Absent in checkpoints written before rebuild telemetry.
-        self.stats.rebuilds_completed = state
-            .get("rebuilds_completed")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        self.stats.rebuilds_stale_served = state
-            .get("rebuilds_stale_served")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        self.stats.last_rebuild_seconds = state
-            .get("last_rebuild_seconds")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        self.stats.refresh_seconds = state
-            .get("refresh_seconds")
-            .and_then(Value::as_f64)
-            .ok_or("sgm state: missing refresh_seconds")?;
-        // Absent in checkpoints written before incremental refresh.
-        self.stats.points_rescored = state
-            .get("points_rescored")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        self.stats.edges_patched = state
-            .get("edges_patched")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        self.stats.last_dirty_fraction = state
-            .get("last_dirty_fraction")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        self.stats.last_patch_seconds = state
-            .get("last_patch_seconds")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
+        self.rebuild_counter = rebuild_counter;
+        // The wall-clock stats are this process's measurements: neither
+        // saved nor restored (older checkpoints carrying them are read
+        // without them).
+        self.stats = SgmStats {
+            refreshes,
+            rebuilds_requested,
+            rebuilds_applied,
+            probe_evals,
+            worker_deaths: opt_usize("worker_deaths"),
+            rebuilds_completed: opt_usize("rebuilds_completed"),
+            rebuilds_stale_served: opt_usize("rebuilds_stale_served"),
+            points_rescored: opt_usize("points_rescored"),
+            edges_patched: opt_usize("edges_patched"),
+            last_dirty_fraction: state
+                .get("last_dirty_fraction")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0),
+            ..self.stats
+        };
         Ok(())
     }
 }
@@ -1060,31 +1085,142 @@ mod tests {
         }
     }
 
+    /// The stats a checkpoint carries: all but the wall-clock fields.
+    fn replayed(s: SgmStats) -> SgmStats {
+        SgmStats {
+            last_rebuild_seconds: 0.0,
+            refresh_seconds: 0.0,
+            last_patch_seconds: 0.0,
+            ..s
+        }
+    }
+
+    fn state_text(s: &SgmSampler) -> String {
+        s.save_state().to_string_compact()
+    }
+
     #[test]
     fn state_roundtrip_preserves_epoch_and_stats() {
         let (net, prob, data) = setup(250, 21);
         let model = PinnModel::new(&prob, &data);
         let probe = Probe::new(&net, &model);
-        let mut a = SgmSampler::new(&data.interior, small_cfg());
-        let mut rng = Rng64::new(22);
-        a.refresh(0, &probe, &mut rng);
-        next_batch(&mut a, 64, &mut rng); // advance the cursor mid-epoch
-        let saved = Value::parse(&a.save_state().to_string_compact()).unwrap();
-        // Rebuild from scratch (fresh clustering/epoch) and restore.
-        let mut b = SgmSampler::new(&data.interior, small_cfg());
-        b.load_state(&saved).unwrap();
-        assert_eq!(b.clustering.assignment(), a.clustering.assignment());
-        assert_eq!(b.epoch, a.epoch);
-        assert_eq!(b.cursor, a.cursor);
-        assert_eq!(b.stats(), a.stats());
-        let mut ra = Rng64::new(23);
-        let mut rb = Rng64::new(23);
-        for _ in 0..5 {
-            assert_eq!(
-                next_batch(&mut a, 64, &mut ra),
-                next_batch(&mut b, 64, &mut rb)
+        let rebuilding = SgmConfig {
+            tau_g: 4,
+            ..small_cfg()
+        };
+        let incremental = SgmConfig {
+            incremental: Some(RefreshOptions::default()),
+            ..rebuilding.clone()
+        };
+        for cfg in [small_cfg(), rebuilding, incremental] {
+            let mut a = SgmSampler::new(&data.interior, cfg.clone());
+            let mut rng = Rng64::new(22);
+            // A refresh at 0, an inline rebuild at 4 when τ_G > 0, and
+            // a cursor left mid-epoch.
+            for iter in 0..7 {
+                a.refresh(iter, &probe, &mut rng);
+                next_batch(&mut a, 64, &mut rng);
+            }
+            let saved = Value::parse(&state_text(&a)).unwrap();
+            // Two restore routes: a fresh build overwritten by
+            // `load_state`, and `restore`, which skips the build.
+            let mut b = SgmSampler::new(&data.interior, cfg.clone());
+            b.load_state(&saved).unwrap();
+            let mut c = SgmSampler::restore(&data.interior, cfg.clone(), &saved).unwrap();
+            for s in [&b, &c] {
+                assert_eq!(s.clustering.assignment(), a.clustering.assignment());
+                assert_eq!(s.epoch, a.epoch);
+                assert_eq!(s.cursor, a.cursor);
+                assert_eq!(replayed(s.stats()), replayed(a.stats()));
+            }
+            // Further refreshes (τ_e = 10), batches and inline rebuilds
+            // replay bit for bit along both routes.
+            let mut rngs = [rng.clone(), rng.clone(), rng];
+            for iter in 7..25 {
+                let batches: Vec<Vec<usize>> = [&mut a, &mut b, &mut c]
+                    .into_iter()
+                    .zip(&mut rngs)
+                    .map(|(s, r)| {
+                        s.refresh(iter, &probe, r);
+                        next_batch(s, 64, r)
+                    })
+                    .collect();
+                assert_eq!(batches[1], batches[0], "{cfg:?} at {iter}");
+                assert_eq!(batches[2], batches[0], "{cfg:?} at {iter}");
+            }
+            assert_eq!(state_text(&b), state_text(&a), "{cfg:?}");
+            assert_eq!(state_text(&c), state_text(&a), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_bad_state_without_panicking() {
+        let (_net, _prob, data) = setup(100, 26);
+        let saved = SgmSampler::new(&data.interior, small_cfg()).save_state();
+        let edited = |key: &str, edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut state = saved.clone();
+            if let Value::Obj(map) = &mut state {
+                if let Some(Value::Arr(arr)) = map.get_mut(key) {
+                    edit(arr);
+                }
+            }
+            state
+        };
+        for (what, state) in [
+            (
+                "short assignment",
+                edited("assignment", &|a| {
+                    a.pop();
+                }),
+            ),
+            (
+                "label past the point count",
+                edited("assignment", &|a| a[0] = Value::Num(1e12)),
+            ),
+            (
+                "label gap",
+                edited("assignment", &|a| a[0] = Value::Num(99.0)),
+            ),
+            (
+                "epoch index out of range",
+                edited("epoch", &|a| a[0] = Value::Num(100.0)),
+            ),
+            ("empty epoch", edited("epoch", &|a| a.clear())),
+            ("not an object", Value::Num(1.0)),
+        ] {
+            assert!(
+                SgmSampler::restore(&data.interior, small_cfg(), &state).is_err(),
+                "{what}"
             );
         }
+        assert!(SgmSampler::restore(&data.interior, small_cfg(), &saved).is_ok());
+    }
+
+    #[test]
+    fn rebuild_thread_spawns_only_when_rebuilds_are_on() {
+        let (_net, _prob, data) = setup(100, 27);
+        let background = SgmConfig {
+            background: true,
+            ..small_cfg()
+        };
+        let idle = SgmSampler::new(&data.interior, background.clone());
+        assert!(idle.builder.is_none(), "tau_g = 0 never requests a rebuild");
+        let restored =
+            SgmSampler::restore(&data.interior, background.clone(), &idle.save_state()).unwrap();
+        assert!(restored.builder.is_none());
+        let rebuilding = SgmConfig {
+            tau_g: 5,
+            ..background
+        };
+        assert!(SgmSampler::new(&data.interior, rebuilding.clone())
+            .builder
+            .is_some());
+        assert!(
+            SgmSampler::restore(&data.interior, rebuilding, &idle.save_state())
+                .unwrap()
+                .builder
+                .is_some()
+        );
     }
 
     #[test]
@@ -1095,6 +1231,7 @@ mod tests {
         let (_n2, _p2, data2) = setup(120, 25);
         let mut b = SgmSampler::new(&data2.interior, small_cfg());
         assert!(b.load_state(&saved).is_err());
+        assert!(SgmSampler::restore(&data2.interior, small_cfg(), &saved).is_err());
     }
 
     #[test]

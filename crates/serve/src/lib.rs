@@ -7,12 +7,14 @@
 //!
 //! The design hinges on one invariant: **a job preempted into N slices
 //! is bit-identical to the same job run locally in one piece.** Every
-//! slice rebuilds the job from its [`JobSpec`] and restores the previous
-//! slice's [`RunState`](sgm_train::RunState) — exactly the path a
-//! client-uploaded warm resume takes — so checkpoint/download/upload/
-//! resume cycles, graceful-shutdown pauses and scheduler preemption all
-//! share one determinism proof (the server-resume suite checks it at
-//! 1, 2 and 8 intra-slice threads).
+//! slice instantiates the job from its [`JobSpec`] and restores the
+//! previous slice's [`RunState`](sgm_train::RunState) — exactly the
+//! path a client-uploaded warm resume takes — so checkpoint/download/
+//! upload/resume cycles, graceful-shutdown pauses and scheduler
+//! preemption all share one determinism proof (the server-resume suite
+//! checks it at 1, 2 and 8 intra-slice threads). Restoring skips only
+//! work the checkpoint replaces: an SGM job's graph is built in its
+//! first slice, not in every slice.
 //!
 //! * [`http`] — a defensive HTTP/1.1 parser with explicit limits; every
 //!   malformed input maps to a 4xx, never a panic (property-fuzzed).

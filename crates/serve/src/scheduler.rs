@@ -4,10 +4,14 @@
 //! iteration **slices** ([`ServeConfig::slice_iterations`]). At each
 //! slice boundary the job's full [`RunState`] is captured, so any job
 //! can be preempted, cancelled, evicted or checkpointed between slices
-//! with zero lost work — and because a slice resumes by rebuilding the
-//! job from its spec and restoring the checkpoint (the same path as a
-//! client-uploaded warm resume), a run sliced N ways is bit-identical
-//! to the same run executed locally in one piece.
+//! with zero lost work — and because a slice resumes by instantiating
+//! the job from its spec and restoring the checkpoint
+//! ([`JobSpec::build_from`], the same path as a client-uploaded warm
+//! resume), a run sliced N ways is bit-identical to the same run
+//! executed locally in one piece. Work the checkpoint replaces is not
+//! redone: an SGM job builds its kNN graph and clustering only when it
+//! starts from scratch; later slices and warm resumes take the
+//! clustering from the checkpoint.
 //!
 //! **Fairness** is round-robin over *tenants*, not jobs: each tenant
 //! owns a FIFO of runnable job ids and a rotating cursor picks the next
@@ -846,10 +850,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds the job from its spec, restores `start` and runs iterations
-/// up to `stop_after` under `parallelism` — the single execution path
-/// shared by first slices, preempted continuations and client-uploaded
-/// warm resumes.
+/// Instantiates the job from its spec for `start`, restores `start` and
+/// runs iterations up to `stop_after` under `parallelism` — the single
+/// execution path shared by first slices, preempted continuations and
+/// client-uploaded warm resumes.
 fn run_slice(
     spec: &JobSpec,
     start: Option<&RunState>,
@@ -857,7 +861,7 @@ fn run_slice(
     parallelism: Parallelism,
 ) -> Result<(Segment, StageTimes), String> {
     sgm_par::with_parallelism(parallelism, || {
-        let mut built = spec.build()?;
+        let mut built = spec.build_from(start)?;
         let model = PinnModel::new(&built.problem, &built.data);
         let mut trainer = Trainer {
             net: &mut built.net,
@@ -877,11 +881,12 @@ fn run_slice(
     })
 }
 
-/// Builds every job in a co-execution group, restores its checkpoint
-/// and runs the whole group through the batched lockstep runner in one
-/// pass. Each returned [`Segment`] is bit-identical to the one the solo
-/// [`run_slice`] path would have produced for that job (under synthetic
-/// clocks; measured clocks share the group's iteration timer).
+/// Instantiates every job in a co-execution group, restores its
+/// checkpoint and runs the whole group through the batched lockstep
+/// runner in one pass. Each returned [`Segment`] is bit-identical to the
+/// one the solo [`run_slice`] path would have produced for that job
+/// (under synthetic clocks; measured clocks share the group's iteration
+/// timer).
 fn run_co_slice(
     specs: &[JobSpec],
     starts: &[Option<RunState>],
@@ -894,8 +899,8 @@ fn run_co_slice(
         let mut problems = Vec::with_capacity(specs.len());
         let mut validations = Vec::with_capacity(specs.len());
         let mut optses = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let built = spec.build()?;
+        for (spec, start) in specs.iter().zip(starts) {
+            let built = spec.build_from(start.as_ref())?;
             nets.push(built.net);
             samplers.push(built.sampler);
             problems.push((built.problem, built.data));
@@ -1127,8 +1132,8 @@ mod tests {
         assert_eq!(inner.pick(), Some(c));
     }
 
-    /// A mixed fleet under co-execution: three groupable jobs (two
-    /// samplers, three tenants, different seeds/lr/iterations) plus two
+    /// A mixed fleet under co-execution: four groupable jobs (three
+    /// samplers, four tenants, different seeds/lr/iterations) plus two
     /// ungroupable ones. Every job must complete with a final
     /// checkpoint bit-identical to its solo local run — co-execution is
     /// a throughput optimisation, never a semantic one.
@@ -1140,6 +1145,7 @@ mod tests {
             quick_spec("c", 25),
             quick_spec("a", 20),
             quick_spec("b", 20),
+            quick_spec("d", 30),
         ];
         specs[1].lr = 1e-3;
         specs[1].train_seed = 9;
@@ -1147,6 +1153,8 @@ mod tests {
         specs[2].net_seed = 17;
         specs[3].hidden_width = 6; // never groups with the others
         specs[4].sampler = "rad".into(); // adaptive: always solo
+        specs[5].sampler = "sgm".into(); // restored from its checkpoint
+        specs[5].net_seed = 23;
         let local: Vec<RunState> = specs
             .iter()
             .map(|s| crate::spec::run_local(s).unwrap().1)

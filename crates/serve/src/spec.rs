@@ -7,11 +7,13 @@
 //! Poisson problem) plus sizes and seeds. Everything except `tenant`
 //! has a default, so a minimal submission is `{"tenant": "alice"}`.
 //!
-//! [`JobSpec::build`] is deliberately re-entrant: the scheduler rebuilds
-//! the job from the spec at the start of *every* slice and restores the
-//! checkpointed [`RunState`](sgm_train::RunState) into it, which is
-//! exactly the warm-resume path — so preemption cannot diverge from a
-//! client-uploaded resume.
+//! [`JobSpec::build_from`] is deliberately re-entrant: the scheduler
+//! instantiates the job from the spec at the start of *every* slice and
+//! restores the checkpointed [`RunState`] into it, which is exactly the
+//! warm-resume path — so preemption cannot diverge from a
+//! client-uploaded resume. Only the work the checkpoint overwrites is
+//! skipped: an SGM sampler takes its clustering from the checkpoint
+//! instead of rebuilding the kNN graph.
 
 use sgm_core::{
     DmisConfig, DmisSampler, MisConfig, MisSampler, RadConfig, RadSampler, RarConfig, RarDConfig,
@@ -114,8 +116,19 @@ impl Default for JobSpec {
 
 const SAMPLER_KINDS: [&str; 7] = ["uniform", "mis", "rar", "rad", "rard", "dmis", "sgm"];
 
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, JsonError> {
-    Ok(v.opt_f64(key)?.map(|f| f as u64))
+/// Largest seed a spec accepts. JSON numbers are f64s, which hold every
+/// integer up to 2^53 exactly; a larger seed may arrive rounded.
+const MAX_SEED: f64 = ((1u64 << 53) - 1) as f64;
+
+/// An optional seed: a non-negative integer no larger than [`MAX_SEED`].
+fn opt_seed(v: &Value, key: &str) -> Result<Option<u64>, String> {
+    match v.opt_f64(key).map_err(|e| e.to_string())? {
+        None => Ok(None),
+        Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= MAX_SEED => Ok(Some(f as u64)),
+        Some(f) => Err(format!(
+            "field `{key}` must be an integer in 0..=2^53-1, got {f}"
+        )),
+    }
 }
 
 impl JobSpec {
@@ -140,7 +153,7 @@ impl JobSpec {
                 .unwrap_or(d.preset),
             interior: v.opt_usize("interior").map_err(err)?.unwrap_or(d.interior),
             boundary: v.opt_usize("boundary").map_err(err)?.unwrap_or(d.boundary),
-            data_seed: opt_u64(v, "data_seed").map_err(err)?.unwrap_or(d.data_seed),
+            data_seed: opt_seed(v, "data_seed")?.unwrap_or(d.data_seed),
             validation_grid: v
                 .opt_usize("validation_grid")
                 .map_err(err)?
@@ -158,7 +171,7 @@ impl JobSpec {
                 .map_err(err)?
                 .map(str::to_string)
                 .unwrap_or(d.activation),
-            net_seed: opt_u64(v, "net_seed").map_err(err)?.unwrap_or(d.net_seed),
+            net_seed: opt_seed(v, "net_seed")?.unwrap_or(d.net_seed),
             sampler: v
                 .opt_str("sampler")
                 .map_err(err)?
@@ -178,16 +191,16 @@ impl JobSpec {
                 .map_err(err)?
                 .unwrap_or(d.batch_boundary),
             lr: v.opt_f64("lr").map_err(err)?.unwrap_or(d.lr),
-            train_seed: opt_u64(v, "train_seed")
-                .map_err(err)?
-                .unwrap_or(d.train_seed),
+            train_seed: opt_seed(v, "train_seed")?.unwrap_or(d.train_seed),
             record_every: v
                 .opt_usize("record_every")
                 .map_err(err)?
                 .unwrap_or(d.record_every),
+            // Absent keeps the default clock; an explicit null asks for
+            // measured wall time.
             synthetic_dt: match v.get("synthetic_dt") {
-                Some(Value::Null) | None => d.synthetic_dt,
-                Some(_) => Some(v.req_f64("synthetic_dt").map_err(err)?),
+                None => d.synthetic_dt,
+                Some(_) => v.opt_f64("synthetic_dt").map_err(err)?,
             },
             max_wall_seconds: v.opt_f64("max_wall_seconds").map_err(err)?,
             panic_at_iteration: v.opt_usize("panic_at_iteration").map_err(err)?,
@@ -365,13 +378,29 @@ fn poisson_sine() -> Problem {
 }
 
 impl JobSpec {
-    /// Instantiates the job: data, network, options and sampler. Pure in
-    /// the spec — two builds from the same spec are bit-identical, which
-    /// is what makes rebuild-per-slice preemption sound.
+    /// Instantiates the job from scratch: data, network, options and
+    /// sampler. Pure in the spec — two builds from the same spec are
+    /// bit-identical. Same as [`JobSpec::build_from`] with no state.
     ///
     /// # Errors
     /// Returns a message for invalid field combinations.
     pub fn build(&self) -> Result<BuiltJob, String> {
+        self.build_from(None)
+    }
+
+    /// Instantiates the job about to resume from `start`. The result
+    /// still goes through `Trainer::run_segment` with `start`, which
+    /// restores the network, optimiser and sampler state; this only
+    /// skips construction work that restore would overwrite. Today that
+    /// is SGM's initial kNN + ER + LRD build: when `start` holds an
+    /// `sgm` state, the sampler is rebuilt from it with
+    /// [`SgmSampler::restore`]. Any other sampler is built as by
+    /// [`JobSpec::build`].
+    ///
+    /// # Errors
+    /// Returns a message for invalid field combinations, or for an SGM
+    /// state that does not fit the spec's point cloud.
+    pub fn build_from(&self, start: Option<&RunState>) -> Result<BuiltJob, String> {
         self.validate()?;
         let problem = poisson_sine();
 
@@ -490,16 +519,21 @@ impl JobSpec {
                     ..DmisConfig::default()
                 },
             )),
-            "sgm" => Box::new(SgmSampler::new(
-                &data.interior,
-                SgmConfig {
+            "sgm" => {
+                let cfg = SgmConfig {
                     k: 8,
                     tau_e: tau.unwrap_or(50),
                     tau_g: 0,
                     min_clusters: 8,
                     ..SgmConfig::default()
-                },
-            )),
+                };
+                match start.filter(|st| st.sampler_name == "sgm") {
+                    Some(st) => {
+                        Box::new(SgmSampler::restore(&data.interior, cfg, &st.sampler_state)?)
+                    }
+                    None => Box::new(SgmSampler::new(&data.interior, cfg)),
+                }
+            }
             other => return Err(format!("unknown sampler {other:?}")),
         };
         if let Some(at) = self.panic_at_iteration {
@@ -611,8 +645,17 @@ mod tests {
         assert_eq!(spec.tenant, "t");
         assert_eq!(spec.sampler, "uniform");
         assert_eq!(spec.iterations, 30);
+        assert_eq!(spec.synthetic_dt, JobSpec::default().synthetic_dt);
         let back = JobSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(spec, back);
+        // `to_json` writes a measured clock as `null`; the largest
+        // accepted seed arrives intact.
+        let measured = JobSpec {
+            synthetic_dt: None,
+            data_seed: (1 << 53) - 1,
+            ..spec
+        };
+        assert_eq!(JobSpec::from_json(&measured.to_json()).unwrap(), measured);
     }
 
     #[test]
@@ -637,6 +680,12 @@ mod tests {
             (r#""lr": -1.0"#, "lr"),
             (r#""max_wall_seconds": 0.0"#, "max_wall_seconds"),
             (r#""iterations": "many""#, "iterations"),
+            (r#""data_seed": -5"#, "data_seed"),
+            (r#""net_seed": 3.7"#, "net_seed"),
+            (r#""train_seed": 1e20"#, "train_seed"),
+            (r#""data_seed": 9007199254740993"#, "data_seed"),
+            (r#""net_seed": "3""#, "net_seed"),
+            (r#""synthetic_dt": "fast""#, "synthetic_dt"),
         ] {
             let err = JobSpec::from_json(&spec_json(extra)).unwrap_err();
             assert!(err.contains(needle), "{extra}: {err}");

@@ -7,9 +7,11 @@
 //! **bit-identical** to the same spec run locally in one uninterrupted
 //! piece, at every intra-slice thread count {1, 2, 8}.
 //!
-//! Both a stateful draw-only sampler (`mis`) and a point-set-adaptive
-//! one (`rad`, RunState v2 with a points checkpoint) are exercised, on
-//! a synthetic clock so every timestamp is deterministic.
+//! Two stateful draw-only samplers (`mis`, and `sgm`, whose later
+//! slices take their clustering from the checkpoint instead of
+//! rebuilding the graph) and a point-set-adaptive one (`rad`, RunState
+//! v2 with a points checkpoint) are exercised, on a synthetic clock so
+//! every timestamp is deterministic.
 
 use sgm_par::Parallelism;
 use sgm_serve::{client, run_local, JobSpec, ServeConfig, Server};
@@ -55,7 +57,7 @@ fn server_sliced_run_matches_local_run_bitwise() {
         })
         .expect("bind");
         let addr = server.addr();
-        for sampler in ["mis", "rad"] {
+        for sampler in ["mis", "sgm", "rad"] {
             let spec = spec(sampler);
             let want = reference_state_json(&spec, p);
             let id = client::submit(addr, &spec).expect("submit");
@@ -86,7 +88,7 @@ fn preempt_checkpoint_upload_resume_is_bit_identical() {
         })
         .expect("bind");
         let addr = server.addr();
-        for sampler in ["mis", "rad"] {
+        for sampler in ["mis", "sgm", "rad"] {
             let spec = spec(sampler);
             let want = reference_state_json(&spec, p);
 

@@ -161,17 +161,6 @@ impl Drive {
     }
 }
 
-/// Sampler state minus wall-clock telemetry (`*_seconds` keys): timing
-/// counters are honest measurements, not replayable state, so two
-/// logically identical runs legitimately differ there.
-fn logical_state(sampler: &dyn Sampler) -> String {
-    let mut state = sampler.save_state();
-    if let sgm_json::Value::Obj(map) = &mut state {
-        map.retain(|k, _| !k.ends_with("_seconds"));
-    }
-    state.to_string_compact()
-}
-
 #[derive(Debug, Clone)]
 struct Case {
     sampler: &'static str,
@@ -269,8 +258,8 @@ fn every_sampler_roundtrips_mid_run_under_seeded_sweep() {
                     ));
                 }
             }
-            let end_ref = logical_state(reference.sampler.as_ref());
-            let end_res = logical_state(restored.sampler.as_ref());
+            let end_ref = reference.sampler.save_state().to_string_compact();
+            let end_res = restored.sampler.save_state().to_string_compact();
             if end_ref != end_res {
                 return Err(format!("final states diverged:\n  {end_ref}\n  {end_res}"));
             }
