@@ -4,25 +4,34 @@
 //! # Design
 //!
 //! The recorder answers one question after an incident: *what were the
-//! last few thousand things this process did?* It keeps the most recent
-//! events in `SHARDS` per-thread rings of [`CAPACITY`] fixed-size slots
-//! each. Recording an event is a handful of **relaxed atomic stores**
-//! into a `static` array — no locks, no allocation, no branches beyond
-//! the ring-index mask — so it rides along on the training hot path
-//! without breaking the zero-allocation steady-state contract.
+//! last few thousand things this process did?* A [`FlightRecorder`]
+//! keeps the most recent events in `SHARDS` per-thread rings of
+//! [`CAPACITY`] fixed-size slots each. Recording an event is a handful
+//! of **relaxed atomic stores** into those rings — no locks, no
+//! allocation, no branches beyond the ring-index mask — so it rides
+//! along on the training hot path without breaking the zero-allocation
+//! steady-state contract.
 //!
-//! A recording thread picks its ring with the same
-//! [`metrics::thread_ordinal`] used by the metric shards; up to
-//! [`metrics::SHARDS`] concurrent recorders never share a cache line.
-//! Each ring has its own monotone write head (`fetch_add`), so two
-//! threads that do land on the same ring still claim distinct slots.
+//! A recording thread picks its ring with the same [`thread_ordinal`]
+//! used by the metric shards; up to [`SHARDS`] concurrent recorders
+//! never share a cache line. Each ring has its own monotone write head
+//! (`fetch_add`), so two threads that do land on the same ring still
+//! claim distinct slots.
+//!
+//! The process-wide black box is one `static` recorder behind the free
+//! functions [`record`], [`snapshot`], [`render_jsonl`] and
+//! [`dump_to_dir`]; the engine, sampler, scheduler and watchdog all
+//! write to it. It has no reset: other threads may be writing to it at
+//! any time. A recorder is `const`-constructible, so code that needs
+//! a private event log (a test counting exactly its own events, say)
+//! owns one in a `static` of its own and calls the same methods on it.
 //!
 //! # Consistency
 //!
 //! Slots are plain word-sized atomics, not seqlocks: a snapshot taken
 //! while writers are mid-store can observe a torn event (fields from
 //! two different writes). The sequence word is written *last*, events
-//! carry their own timestamps, and [`snapshot`] drops events whose
+//! carry their own timestamps, and a snapshot drops events whose
 //! sequence word lags the rest of the ring by a full lap, which bounds
 //! the damage to at most one garbled event per actively-writing thread
 //! — an explicitly accepted trade for a recorder that costs O(1)
@@ -61,9 +70,9 @@ use sgm_json::{obj, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Events retained per ring (power of two). With [`SHARDS`] rings the
+/// Events retained per ring (power of two). With [`SHARDS`] rings a
 /// recorder holds up to `SHARDS * CAPACITY` recent events — 8192 at the
-/// current sizes, ~256 KiB of static storage.
+/// current sizes, ~256 KiB of storage.
 pub const CAPACITY: usize = 1024;
 
 /// What an event describes. Stored as a single byte in the ring.
@@ -144,32 +153,130 @@ struct Ring {
     slots: [Slot; CAPACITY],
 }
 
-static RINGS: [Ring; SHARDS] = [const {
-    Ring {
-        head: AtomicU64::new(0),
-        slots: [const {
-            Slot {
-                seq: AtomicU64::new(0),
-                ts_ns: AtomicU64::new(0),
-                packed: AtomicU64::new(0),
-                value: AtomicU64::new(0),
-            }
-        }; CAPACITY],
-    }
-}; SHARDS];
+/// A set of [`SHARDS`] event rings. Construct it in a `static` (it is
+/// ~256 KiB): the process-wide recorder behind the free functions is
+/// one, and a test that must see only its own events owns another.
+pub struct FlightRecorder {
+    rings: [Ring; SHARDS],
+}
 
-/// Records one event: one relaxed `fetch_add` plus four relaxed stores
-/// into static storage. Never locks, never allocates.
+/// The process-wide recorder that [`record`] writes and [`snapshot`],
+/// [`render_jsonl`] and [`dump_to_dir`] read.
+static RECORDER: FlightRecorder = FlightRecorder::new();
+
+impl FlightRecorder {
+    /// An empty recorder.
+    pub const fn new() -> Self {
+        FlightRecorder {
+            rings: [const {
+                Ring {
+                    head: AtomicU64::new(0),
+                    slots: [const {
+                        Slot {
+                            seq: AtomicU64::new(0),
+                            ts_ns: AtomicU64::new(0),
+                            packed: AtomicU64::new(0),
+                            value: AtomicU64::new(0),
+                        }
+                    }; CAPACITY],
+                }
+            }; SHARDS],
+        }
+    }
+
+    /// Records one event: one relaxed `fetch_add` plus four relaxed
+    /// stores. Never locks, never allocates.
+    #[inline]
+    pub fn record(&self, kind: EventKind, code: u32, value: u64) {
+        let ring = &self.rings[thread_ordinal() & (SHARDS - 1)];
+        let idx = ring.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &ring.slots[(idx as usize) & (CAPACITY - 1)];
+        slot.ts_ns.store(now_ns(), Ordering::Relaxed);
+        slot.packed
+            .store(((kind as u64) << 32) | code as u64, Ordering::Relaxed);
+        slot.value.store(value, Ordering::Relaxed);
+        slot.seq.store(idx + 1, Ordering::Relaxed);
+    }
+
+    /// Decodes every live slot, ordered by timestamp (ties by ring then
+    /// sequence). Torn or overwritten-in-flight slots (sequence a full
+    /// lap behind the ring head, or an invalid kind byte) are skipped.
+    pub fn snapshot(&self) -> Vec<FlightEvent> {
+        let mut out = Vec::new();
+        for (tid, ring) in self.rings.iter().enumerate() {
+            let head = ring.head.load(Ordering::Relaxed);
+            for slot in &ring.slots {
+                let seq = slot.seq.load(Ordering::Relaxed);
+                if seq == 0 || seq + (CAPACITY as u64) < head {
+                    continue;
+                }
+                let packed = slot.packed.load(Ordering::Relaxed);
+                let Some(kind) = EventKind::from_u8((packed >> 32) as u8) else {
+                    continue;
+                };
+                out.push(FlightEvent {
+                    tid,
+                    seq,
+                    ts_ns: slot.ts_ns.load(Ordering::Relaxed),
+                    kind,
+                    code: packed as u32,
+                    value: slot.value.load(Ordering::Relaxed),
+                });
+            }
+        }
+        out.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
+        out
+    }
+
+    /// Empties every ring. Call it only while nothing records into this
+    /// recorder; the process-wide one therefore has no such entry point.
+    pub fn reset(&self) {
+        for ring in &self.rings {
+            ring.head.store(0, Ordering::Relaxed);
+            for slot in &ring.slots {
+                slot.seq.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Renders a snapshot as run-telemetry JSONL: one meta line, then
+    /// one `flight` line per event, oldest first. `extra_lines` (already
+    /// serialised JSON objects, e.g. an anomaly record) are appended.
+    pub fn render_jsonl(&self, run: &str, extra_lines: &[Value]) -> String {
+        let events = self.snapshot();
+        let mut out = String::new();
+        let meta = obj([
+            ("type", Value::Str("meta".into())),
+            ("run", Value::Str(run.into())),
+            ("source", Value::Str("flight_recorder".into())),
+            ("events", Value::Num(events.len() as f64)),
+            ("capacity", Value::Num((SHARDS * CAPACITY) as f64)),
+        ]);
+        out.push_str(&meta.to_string_compact());
+        out.push('\n');
+        for e in &events {
+            out.push_str(&event_value(e).to_string_compact());
+            out.push('\n');
+        }
+        for line in extra_lines {
+            out.push_str(&line.to_string_compact());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Records one event into the process-wide recorder (see
+/// [`FlightRecorder::record`]).
 #[inline]
 pub fn record(kind: EventKind, code: u32, value: u64) {
-    let ring = &RINGS[thread_ordinal() & (SHARDS - 1)];
-    let idx = ring.head.fetch_add(1, Ordering::Relaxed);
-    let slot = &ring.slots[(idx as usize) & (CAPACITY - 1)];
-    slot.ts_ns.store(now_ns(), Ordering::Relaxed);
-    slot.packed
-        .store(((kind as u64) << 32) | code as u64, Ordering::Relaxed);
-    slot.value.store(value, Ordering::Relaxed);
-    slot.seq.store(idx + 1, Ordering::Relaxed);
+    RECORDER.record(kind, code, value);
 }
 
 /// One decoded flight-recorder event.
@@ -196,45 +303,10 @@ impl FlightEvent {
     }
 }
 
-/// Decodes every live slot, ordered by timestamp (ties by ring then
-/// sequence). Torn or overwritten-in-flight slots (sequence a full lap
-/// behind the ring head, or an invalid kind byte) are skipped.
+/// Snapshot of the process-wide recorder (see
+/// [`FlightRecorder::snapshot`]).
 pub fn snapshot() -> Vec<FlightEvent> {
-    let mut out = Vec::new();
-    for (tid, ring) in RINGS.iter().enumerate() {
-        let head = ring.head.load(Ordering::Relaxed);
-        for slot in &ring.slots {
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq == 0 || seq + (CAPACITY as u64) < head {
-                continue;
-            }
-            let packed = slot.packed.load(Ordering::Relaxed);
-            let Some(kind) = EventKind::from_u8((packed >> 32) as u8) else {
-                continue;
-            };
-            out.push(FlightEvent {
-                tid,
-                seq,
-                ts_ns: slot.ts_ns.load(Ordering::Relaxed),
-                kind,
-                code: packed as u32,
-                value: slot.value.load(Ordering::Relaxed),
-            });
-        }
-    }
-    out.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
-    out
-}
-
-/// Empties every ring (per-run isolation in harnesses; pairs with
-/// [`crate::metrics::reset`]). Call between runs, not during one.
-pub fn reset() {
-    for ring in &RINGS {
-        ring.head.store(0, Ordering::Relaxed);
-        for slot in &ring.slots {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
-    }
+    RECORDER.snapshot()
 }
 
 /// JSON object for one event (a `{"type":"flight",...}` JSONL line).
@@ -263,30 +335,10 @@ pub fn event_value(e: &FlightEvent) -> Value {
     obj(fields)
 }
 
-/// Renders a snapshot as run-telemetry JSONL: one meta line, then one
-/// `flight` line per event, oldest first. `extra_lines` (already
-/// serialised JSON objects, e.g. an anomaly record) are appended.
+/// The process-wide recorder as run-telemetry JSONL (see
+/// [`FlightRecorder::render_jsonl`]).
 pub fn render_jsonl(run: &str, extra_lines: &[Value]) -> String {
-    let events = snapshot();
-    let mut out = String::new();
-    let meta = obj([
-        ("type", Value::Str("meta".into())),
-        ("run", Value::Str(run.into())),
-        ("source", Value::Str("flight_recorder".into())),
-        ("events", Value::Num(events.len() as f64)),
-        ("capacity", Value::Num((SHARDS * CAPACITY) as f64)),
-    ]);
-    out.push_str(&meta.to_string_compact());
-    out.push('\n');
-    for e in &events {
-        out.push_str(&event_value(e).to_string_compact());
-        out.push('\n');
-    }
-    for line in extra_lines {
-        out.push_str(&line.to_string_compact());
-        out.push('\n');
-    }
-    out
+    RECORDER.render_jsonl(run, extra_lines)
 }
 
 /// The flight-dump directory from `SGM_FLIGHT_DIR`, if set and
@@ -319,44 +371,47 @@ pub fn dump_to_dir(dir: &Path, label: &str, extra_lines: &[Value]) -> std::io::R
 mod tests {
     use super::*;
 
+    // Each test below owns its recorder: the process-wide one is written
+    // by every other test in this binary that trains, rebuilds or fires
+    // a watchdog anomaly, so its event counts are not this test's own.
+
     #[test]
     fn record_snapshot_roundtrip() {
-        reset();
-        record(EventKind::Stage, 3, 1_234);
-        record(EventKind::Loss, 7, 0.5f64.to_bits());
-        record(EventKind::Slice, 42, 10);
-        let snap = snapshot();
+        static REC: FlightRecorder = FlightRecorder::new();
+        REC.record(EventKind::Stage, 3, 1_234);
+        REC.record(EventKind::Loss, 7, 0.5f64.to_bits());
+        REC.record(EventKind::Slice, 42, 10);
+        let snap = REC.snapshot();
         assert_eq!(snap.len(), 3);
         assert!(snap.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         let loss = snap.iter().find(|e| e.kind == EventKind::Loss).unwrap();
         assert_eq!(loss.code, 7);
         assert_eq!(loss.value_f64(), 0.5);
-        reset();
-        assert!(snapshot().is_empty());
+        REC.reset();
+        assert!(REC.snapshot().is_empty());
     }
 
     #[test]
     fn ring_keeps_most_recent_events_on_wrap() {
-        reset();
+        static REC: FlightRecorder = FlightRecorder::new();
         let total = CAPACITY + 100;
         for i in 0..total {
-            record(EventKind::Iter, 0, i as u64);
+            REC.record(EventKind::Iter, 0, i as u64);
         }
-        let snap = snapshot();
+        let snap = REC.snapshot();
         assert_eq!(snap.len(), CAPACITY);
         let min = snap.iter().map(|e| e.value).min().unwrap();
         let max = snap.iter().map(|e| e.value).max().unwrap();
         assert_eq!(max, total as u64 - 1);
         assert_eq!(min, (total - CAPACITY) as u64);
-        reset();
     }
 
     #[test]
     fn jsonl_dump_has_meta_first_and_one_line_per_event() {
-        reset();
-        record(EventKind::Rebuild, 0, 999);
-        record(EventKind::Loss, 1, f64::NAN.to_bits());
-        let text = render_jsonl("test", &[]);
+        static REC: FlightRecorder = FlightRecorder::new();
+        REC.record(EventKind::Rebuild, 0, 999);
+        REC.record(EventKind::Loss, 1, f64::NAN.to_bits());
+        let text = REC.render_jsonl("test", &[]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"meta\""));
@@ -364,7 +419,6 @@ mod tests {
         assert!(lines[1].contains("\"type\":\"flight\""));
         // Non-finite loss must stay valid JSON.
         assert!(lines[2].contains("\"loss\":null"));
-        reset();
     }
 
     #[test]

@@ -345,8 +345,20 @@ pub fn write_chrome_trace(path: &str, events: &[TraceEvent]) -> std::io::Result<
 mod tests {
     use super::*;
 
+    /// Held for each test's whole body: the trace level and the span
+    /// collector are process-wide, so one test's `set_level` or `drain`
+    /// would otherwise land inside another's window. A failed test
+    /// leaves nothing the next one relies on (each sets the level and
+    /// drains first), so a poisoned lock is taken over, not propagated.
+    static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn spans_nest_and_parent_implicitly() {
+        let _guard = lock();
         set_level(TraceLevel::Full);
         drain();
         {
@@ -368,6 +380,7 @@ mod tests {
 
     #[test]
     fn off_level_records_nothing() {
+        let _guard = lock();
         set_level(TraceLevel::Off);
         drain();
         {
@@ -379,6 +392,7 @@ mod tests {
 
     #[test]
     fn explicit_parenting_carries_across() {
+        let _guard = lock();
         set_level(TraceLevel::Stages);
         drain();
         let ctx;
@@ -398,6 +412,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json() {
+        let _guard = lock();
         set_level(TraceLevel::Stages);
         drain();
         {

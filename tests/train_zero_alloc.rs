@@ -7,6 +7,13 @@
 //!
 //! The counting `#[global_allocator]` makes this a hard test, not a
 //! heuristic: a single stray `Vec` or `Matrix` in the loop fails it.
+//! It counts per thread, and each test reads the deltas of its own
+//! thread. That is the serial contract exactly: under
+//! `Parallelism::Serial` every stage runs on the calling thread, so
+//! every allocation the contract forbids lands on the counting thread,
+//! while tests training beside this one in the same process (and the
+//! watchdog, whose scrape allocates on its own thread by design) do
+//! not.
 //!
 //! The contract is measured with the full observability stack armed:
 //! the `ObsHook` (registry + flight recorder) rides in the hook chain
@@ -14,7 +21,7 @@
 //! window — recording stays allocation-free even with both enabled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use sgm_graph::points::PointCloud;
 use sgm_linalg::dense::Matrix;
@@ -30,14 +37,28 @@ use sgm_physics::PinnModel;
 use sgm_train::{Hook, ObsHook, Stage, TrainOptions, Trainer, UniformSampler};
 
 /// Forwards to the system allocator while counting every `alloc` and
-/// `realloc` call (deallocations are free and not counted).
+/// `realloc` call made by the current thread (deallocations are free
+/// and not counted).
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and destructor-free, so touching it never
+    // allocates (the allocator must not recurse into itself).
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -46,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,9 +75,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Records the cumulative allocation count at the end of every
-/// iteration. The vector is pre-reserved so the pushes themselves never
-/// allocate inside the measured window.
+/// Records the training thread's cumulative allocation count at the end
+/// of every iteration. The vector is pre-reserved so the pushes
+/// themselves never allocate inside the measured window.
 struct AllocCounter {
     counts: Vec<usize>,
     record_stages: usize,
@@ -70,7 +91,7 @@ impl Hook for AllocCounter {
     }
 
     fn on_iteration(&mut self, _iter: usize) {
-        self.counts.push(ALLOCS.load(Ordering::Relaxed));
+        self.counts.push(thread_allocs());
     }
 }
 
@@ -172,13 +193,13 @@ fn metric_records_do_not_allocate_in_steady_state() {
     C.inc();
     G.set(1.0);
     H.record(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for i in 0..1000u64 {
         C.add(i);
         G.add(0.5);
         H.record(i * 37);
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
     assert_eq!(delta, 0, "steady-state metric records allocated {delta}x");
     assert_eq!(C.value(), 1 + (0..1000).sum::<u64>());
     assert_eq!(H.snapshot().count, 1001);
@@ -191,11 +212,11 @@ fn metric_records_do_not_allocate_in_steady_state() {
 fn flight_recorder_events_do_not_allocate() {
     use sgm_obs::flight::{self, EventKind};
     flight::record(EventKind::Iter, 0, 0); // thread-ordinal warmup
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for i in 0..10_000u64 {
         flight::record(EventKind::Stage, (i % 7) as u32, i * 17);
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
     assert_eq!(delta, 0, "flight-recorder events allocated {delta}x");
     let events = flight::snapshot();
     assert!(
