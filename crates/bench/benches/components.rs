@@ -402,10 +402,13 @@ fn bench_trainer_overhead(r: &mut Runner) {
                     calls += 1;
                 },
             );
-            eprintln!(
-                "[trainer_overhead] alloc_loop: {:.1} allocs/iter",
-                allocs as f64 / (calls * K) as f64
-            );
+            // A filter that skips the case leaves nothing to divide by.
+            if calls > 0 {
+                eprintln!(
+                    "[trainer_overhead] alloc_loop: {:.1} allocs/iter",
+                    allocs as f64 / (calls * K) as f64
+                );
+            }
         }
         {
             let mut net = mk_net();
@@ -437,11 +440,13 @@ fn bench_trainer_overhead(r: &mut Runner) {
                     calls += 1;
                 },
             );
-            eprintln!(
-                "[trainer_overhead] engine_run: {:.1} allocs/iter (includes per-run \
-                 workspace construction; steady-state is 0 — see train_zero_alloc)",
-                allocs as f64 / (calls * K) as f64
-            );
+            if calls > 0 {
+                eprintln!(
+                    "[trainer_overhead] engine_run: {:.1} allocs/iter (includes per-run \
+                     workspace construction; steady-state is 0 — see train_zero_alloc)",
+                    allocs as f64 / (calls * K) as f64
+                );
+            }
         }
     });
 }

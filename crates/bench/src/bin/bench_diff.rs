@@ -16,9 +16,9 @@
 //!   default so smoke runs with 1-iteration timings don't flake).
 //! * `--min-speedup <x>` — exit non-zero unless the geometric-mean
 //!   speedup over all compared cases is at least `x`. Used by the
-//!   `refresh-scaling` CI gate: a full-rebuild dump diffed against a
-//!   delta-refresh dump from the *same machine* must clear the paper's
-//!   incremental-speedup floor.
+//!   `multi-model` CI gate: a sequential-solo dump diffed against a
+//!   batched dump of the same case from the *same machine* must clear
+//!   the batched-execution floor.
 //!
 //! Groups present in only one dump (a filtered run, or a group added or
 //! removed between revisions) are reported as warnings and skipped —

@@ -211,50 +211,15 @@ fn print_single(run: &Run) {
     } else {
         println!("\nconvergence: no records");
     }
-    // Incremental graph-refresh rollup. Two of these histograms record
-    // raw values (dirty percent, block counts), not nanoseconds, so
-    // they get a dedicated summary and are excluded from the ns table.
-    let rescored = run.scalars.get("sgm_graph_points_rescored_total");
-    let patched = run.scalars.get("sgm_graph_edges_patched_total");
-    let dirty = run.hists.get("sgm_graph_refresh_dirty_pct");
-    let blocks = run.hists.get("sgm_graph_refresh_blocks_recomputed");
-    if rescored.is_some() || patched.is_some() || dirty.is_some() || blocks.is_some() {
-        println!("\ngraph refresh (incremental engine):");
-        if let Some(v) = rescored {
-            println!("  {:<42} {v}", "points rescored (cumulative)");
-        }
-        if let Some(v) = patched {
-            println!("  {:<42} {v}", "adjacency slots patched (cumulative)");
-        }
-        if let Some((count, mean, min, max)) = dirty {
-            println!(
-                "  {:<42} {count} refreshes, mean {mean:.1}% (min {min}%, max {max}%)",
-                "dirty fraction per refresh"
-            );
-        }
-        if let Some((count, mean, min, max)) = blocks {
-            println!(
-                "  {:<42} {count} refreshes, mean {mean:.1} (min {min}, max {max})",
-                "LRD blocks recomputed per refresh"
-            );
-        }
-    }
     if !run.scalars.is_empty() {
         println!("\ncounters & gauges:");
         for (name, v) in &run.scalars {
             println!("  {name:<42} {v}");
         }
     }
-    let value_hists = [
-        "sgm_graph_refresh_dirty_pct",
-        "sgm_graph_refresh_blocks_recomputed",
-    ];
-    if run.hists.keys().any(|n| !value_hists.contains(&n.as_str())) {
+    if !run.hists.is_empty() {
         println!("\nhistograms (count / mean / min / max / p50 / p95 / p99):");
         for (name, (count, mean, min, max)) in &run.hists {
-            if value_hists.contains(&name.as_str()) {
-                continue;
-            }
             // Tail percentiles come from the log-linear buckets when
             // the dump carries them (lower-bound estimates, <=25% low).
             let tails = run.buckets.get(name).map_or_else(

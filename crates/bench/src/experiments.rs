@@ -342,7 +342,6 @@ pub fn sgm_config(exp: &Experiment, scale: &Scale, use_isr: bool) -> SgmConfig {
         background: true,
         augment_outputs: false,
         seed: scale.seed ^ 0x5617,
-        incremental: None,
     }
 }
 

@@ -18,7 +18,6 @@
 use sgm_graph::knn::{build_knn_graph, KnnConfig};
 use sgm_graph::lrd::{decompose, Clustering, LrdConfig};
 use sgm_graph::points::PointCloud;
-use sgm_graph::refresh::{GraphRefresher, RefreshConfig, RefreshOptions, RefreshStats};
 use sgm_obs::{flight, trace, Counter, Histogram, SpanContext, TraceLevel};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -34,16 +33,6 @@ static REBUILD_REQUESTS: Counter = Counter::new("sgm_sampler_rebuild_requests_to
 /// Background rebuild workers observed dead (panicked).
 static REBUILD_WORKER_DEATHS: Counter = Counter::new("sgm_sampler_rebuild_worker_deaths_total");
 
-/// Records a completed rebuild in the histogram and flight recorder.
-fn record_rebuild(elapsed: Duration) {
-    REBUILD_NS.record_duration(elapsed);
-    flight::record(
-        flight::EventKind::Rebuild,
-        0,
-        elapsed.as_nanos().min(u64::MAX as u128) as u64,
-    );
-}
-
 /// A rebuild job: construct the kNN PGM over `cloud` and decompose it.
 #[derive(Debug, Clone)]
 pub struct RebuildRequest {
@@ -54,90 +43,42 @@ pub struct RebuildRequest {
     pub knn: KnnConfig,
     /// LRD configuration (S2).
     pub lrd: LrdConfig,
-    /// When set, the serving [`RebuildWorker`] maintains a persistent
-    /// [`GraphRefresher`] and ships **deltas**: only dirty points are
-    /// re-queried and only dirty LRD blocks recomputed. `None` keeps
-    /// the classic stateless full rebuild.
-    pub incremental: Option<RefreshOptions>,
 }
 
-/// A finished rebuild: the clustering to swap in, plus the refresh
-/// telemetry when the incremental path served it.
-#[derive(Debug, Clone)]
-pub struct RebuildOutput {
-    /// The clustering (`S_new` in Algorithm 1).
-    pub clustering: Clustering,
-    /// Delta-path statistics (`None` on the classic full path).
-    pub refresh: Option<RefreshStats>,
-}
-
-impl From<Clustering> for RebuildOutput {
-    fn from(clustering: Clustering) -> Self {
-        RebuildOutput {
-            clustering,
-            refresh: None,
-        }
-    }
-}
-
-/// Runs a **stateless full** rebuild synchronously (ignores
-/// `req.incremental` — per-request state lives in [`RebuildWorker`]).
+/// Runs one full S1+S2 rebuild on the calling thread: the kNN graph over
+/// `req.cloud`, then its LRD clustering (`S_new` in Algorithm 1). Every
+/// rebuild — background worker, inline fallback, fault harness — goes
+/// through here.
 pub fn run_rebuild(req: &RebuildRequest) -> Clustering {
     let t0 = Instant::now();
     let g = build_knn_graph(&req.cloud, &req.knn);
     let c = decompose(&g, &req.lrd);
-    record_rebuild(t0.elapsed());
+    let elapsed = t0.elapsed();
+    REBUILD_NS.record_duration(elapsed);
+    flight::record(
+        flight::EventKind::Rebuild,
+        0,
+        elapsed.as_nanos().min(u64::MAX as u128) as u64,
+    );
     c
 }
 
-/// The stateful rebuild executor: owns the persistent incremental
-/// engine between requests. Both the production worker thread
-/// ([`BackgroundBuilder::spawn`]) and the sampler's inline fallback
-/// hold one, so the delta path is identical either way — and a worker
-/// crash takes its engine state down with it, which is why a dying
-/// worker can never hand the sampler a torn graph: only complete
-/// [`RebuildOutput`]s ever cross the channel.
-#[derive(Debug, Default)]
-pub struct RebuildWorker {
-    refresher: Option<GraphRefresher>,
-}
+/// The production rebuild executor as a value, for harnesses that wrap
+/// it in their own [`BackgroundBuilder::spawn_with_worker`] closure
+/// (e.g. to time each request). It holds no state: [`RebuildWorker::run`]
+/// is [`run_rebuild`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RebuildWorker;
 
 impl RebuildWorker {
-    /// A worker with no engine state yet.
+    /// A new worker.
     pub fn new() -> Self {
-        RebuildWorker::default()
+        RebuildWorker
     }
 
-    /// Serves one request: delta patch when `req.incremental` is set and
-    /// the engine is warm, full (re)build otherwise.
-    pub fn run(&mut self, req: &RebuildRequest) -> RebuildOutput {
-        match &req.incremental {
-            None => {
-                self.refresher = None;
-                run_rebuild(req).into()
-            }
-            Some(opts) => {
-                let cfg = RefreshConfig {
-                    knn: req.knn.clone(),
-                    lrd: req.lrd.clone(),
-                    opts: opts.clone(),
-                };
-                let stale = self.refresher.as_ref().is_some_and(|r| *r.config() != cfg);
-                if stale {
-                    self.refresher = None;
-                }
-                let refresher = self
-                    .refresher
-                    .get_or_insert_with(|| GraphRefresher::new(cfg));
-                let t0 = Instant::now();
-                let (clustering, stats) = refresher.refresh(&req.cloud);
-                record_rebuild(t0.elapsed());
-                RebuildOutput {
-                    clustering,
-                    refresh: Some(stats),
-                }
-            }
-        }
+    /// Serves one request with a full rebuild.
+    pub fn run(&mut self, req: &RebuildRequest) -> Clustering {
+        run_rebuild(req)
     }
 }
 
@@ -165,7 +106,7 @@ impl std::error::Error for WorkerDied {}
 #[derive(Debug)]
 pub struct BackgroundBuilder {
     tx: Option<Sender<(RebuildRequest, SpanContext)>>,
-    rx: Receiver<(RebuildOutput, Duration)>,
+    rx: Receiver<(Clustering, Duration)>,
     handle: Option<JoinHandle<()>>,
     pending: usize,
     died: Option<WorkerDied>,
@@ -173,11 +114,10 @@ pub struct BackgroundBuilder {
 }
 
 impl BackgroundBuilder {
-    /// Spawns the standard worker thread: a [`RebuildWorker`] serving
-    /// kNN + LRD per request (full or delta, per `req.incremental`).
+    /// Spawns the standard worker thread: one [`run_rebuild`] per
+    /// request.
     pub fn spawn() -> Self {
-        let mut worker = RebuildWorker::new();
-        Self::spawn_with_worker(move |req| Some(worker.run(req)))
+        Self::spawn_with_worker(|req| Some(run_rebuild(req)))
     }
 
     /// Spawns a worker running `work` per request. Returning `None`
@@ -188,10 +128,10 @@ impl BackgroundBuilder {
     /// panics deterministically.
     pub fn spawn_with_worker<F>(work: F) -> Self
     where
-        F: FnMut(&RebuildRequest) -> Option<RebuildOutput> + Send + 'static,
+        F: FnMut(&RebuildRequest) -> Option<Clustering> + Send + 'static,
     {
         let (tx_req, rx_req) = channel::<(RebuildRequest, SpanContext)>();
-        let (tx_res, rx_res) = channel::<(RebuildOutput, Duration)>();
+        let (tx_res, rx_res) = channel::<(Clustering, Duration)>();
         let handle = std::thread::Builder::new()
             .name("sgm-rebuild".into())
             .spawn(move || {
@@ -277,7 +217,7 @@ impl BackgroundBuilder {
     /// # Errors
     /// Returns [`WorkerDied`] when the worker thread is gone, so callers
     /// never spin forever waiting on a dead worker.
-    pub fn try_take(&mut self) -> Result<Option<RebuildOutput>, WorkerDied> {
+    pub fn try_take(&mut self) -> Result<Option<Clustering>, WorkerDied> {
         if let Some(d) = &self.died {
             return Err(d.clone());
         }
@@ -298,7 +238,7 @@ impl BackgroundBuilder {
     /// # Errors
     /// Returns [`WorkerDied`] when the worker thread exits without
     /// producing a result.
-    pub fn take_blocking(&mut self) -> Result<RebuildOutput, WorkerDied> {
+    pub fn take_blocking(&mut self) -> Result<Clustering, WorkerDied> {
         if let Some(d) = &self.died {
             return Err(d.clone());
         }
@@ -361,7 +301,6 @@ mod tests {
                 ..KnnConfig::default()
             },
             lrd: LrdConfig::default(),
-            incremental: None,
         }
     }
 
@@ -371,9 +310,8 @@ mod tests {
         let c = cloud(200, 1);
         assert!(b.request(req(c.clone())).unwrap());
         let out = b.take_blocking().expect("worker result");
-        assert_eq!(out.clustering.num_nodes(), 200);
-        assert!(out.clustering.num_clusters() >= 2);
-        assert!(out.refresh.is_none(), "full path carries no delta stats");
+        assert_eq!(out.num_nodes(), 200);
+        assert!(out.num_clusters() >= 2);
         assert!(!b.is_pending());
     }
 
@@ -398,43 +336,7 @@ mod tests {
         let mut b = BackgroundBuilder::spawn();
         b.request(req(c)).unwrap();
         let asynch = b.take_blocking().unwrap();
-        assert_eq!(sync.assignment(), asynch.clustering.assignment());
-    }
-
-    #[test]
-    fn incremental_requests_ship_deltas_through_the_worker() {
-        let base = cloud(600, 11);
-        let delta_req = |c: Arc<PointCloud>| RebuildRequest {
-            incremental: Some(sgm_graph::refresh::RefreshOptions::default()),
-            ..req(c)
-        };
-        let mut b = BackgroundBuilder::spawn();
-        b.request(delta_req(base.clone())).unwrap();
-        let first = b.take_blocking().unwrap();
-        let s1 = first.refresh.expect("incremental path reports stats");
-        assert!(s1.full_build, "cold worker does a full build");
-
-        // Nudge a handful of points and re-request: the worker's
-        // persistent engine must serve a partial refresh.
-        let mut moved = PointCloud::new(2);
-        for i in 0..base.len() {
-            let p = base.point(i);
-            if i < 20 {
-                moved.push(&[p[0] + 1e-3, p[1]]);
-            } else {
-                moved.push(p);
-            }
-        }
-        b.request(delta_req(Arc::new(moved))).unwrap();
-        let second = b.take_blocking().unwrap();
-        let s2 = second.refresh.expect("incremental path reports stats");
-        assert!(!s2.full_build, "warm worker patches in place");
-        assert!(s2.points_moved >= 20);
-        assert!(
-            s2.points_rescored < base.len(),
-            "only the dirty frontier is rescored"
-        );
-        assert_eq!(second.clustering.num_nodes(), base.len());
+        assert_eq!(sync.assignment(), asynch.assignment());
     }
 
     #[test]
@@ -446,7 +348,7 @@ mod tests {
 
     #[test]
     fn panicking_worker_is_reported_not_hung() {
-        let mut b = BackgroundBuilder::spawn_with_worker(|_req| -> Option<RebuildOutput> {
+        let mut b = BackgroundBuilder::spawn_with_worker(|_req| -> Option<Clustering> {
             panic!("injected rebuild failure")
         });
         assert!(b.request(req(cloud(50, 5))).unwrap());
@@ -474,7 +376,7 @@ mod tests {
             if n == 0 {
                 None // drop the first result
             } else {
-                Some(run_rebuild(r).into())
+                Some(run_rebuild(r))
             }
         });
         let c = cloud(80, 7);

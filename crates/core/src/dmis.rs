@@ -14,8 +14,7 @@
 //!    inside the cell; trailing dimensions are kept).
 //!
 //! The set size never changes — DMIS reshapes the distribution by
-//! *moving* points, which exercises the incremental-kNN delta path of
-//! graph-backed consumers.
+//! *moving* points.
 
 use sgm_json::{lossless_num_arr, obj, Value};
 use sgm_linalg::dense::Matrix;

@@ -15,12 +15,11 @@
 //! 14:  every τ_G iterations rebuild S1–S2 in the background
 //! ```
 
-use crate::background::{BackgroundBuilder, RebuildRequest, RebuildWorker};
+use crate::background::{run_rebuild, BackgroundBuilder, RebuildRequest};
 use crate::score::{assemble_epoch, combine_scores, map_scores, ScoreMapping};
 use sgm_graph::knn::{KnnConfig, KnnStrategy};
 use sgm_graph::lrd::{Clustering, ErSource, LrdConfig};
 use sgm_graph::points::PointCloud;
-use sgm_graph::refresh::{RefreshOptions, RefreshStats};
 use sgm_graph::resistance::ApproxErOptions;
 use sgm_json::Value;
 use sgm_linalg::dense::Matrix;
@@ -137,12 +136,6 @@ pub struct SgmConfig {
     pub augment_outputs: bool,
     /// Seed for graph construction and ER probes.
     pub seed: u64,
-    /// Incremental graph refresh: when set, τ_G rebuilds are served by a
-    /// persistent delta engine (moved points re-queried, dirty LRD blocks
-    /// recomputed) instead of a from-scratch build. The rebuild seed is
-    /// held fixed in this mode so deltas compare against a stable
-    /// configuration. `None` (default) keeps the classic full rebuild.
-    pub incremental: Option<RefreshOptions>,
 }
 
 impl Default for SgmConfig {
@@ -166,15 +159,14 @@ impl Default for SgmConfig {
             background: true,
             augment_outputs: false,
             seed: 0x56C1,
-            incremental: None,
         }
     }
 }
 
 /// Overhead accounting, reported by the experiment harness. Checkpoints
-/// carry every field except the three wall-clock ones
-/// (`last_rebuild_seconds`, `refresh_seconds`, `last_patch_seconds`),
-/// which measure the current process only.
+/// carry every field except the two wall-clock ones
+/// (`last_rebuild_seconds`, `refresh_seconds`), which measure the
+/// current process only.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SgmStats {
     /// Completed score refreshes.
@@ -200,20 +192,6 @@ pub struct SgmStats {
     /// Wall-clock seconds spent inside refresh (scoring + epoch assembly;
     /// excludes background-thread graph time by construction).
     pub refresh_seconds: f64,
-    /// Cumulative points re-queried by the incremental graph engine
-    /// (counts every point on full builds, only the dirty frontier on
-    /// delta patches; 0 in classic full-rebuild mode).
-    pub points_rescored: usize,
-    /// Cumulative adjacency slots rewritten by delta patches (0 in
-    /// classic full-rebuild mode).
-    pub edges_patched: usize,
-    /// Dirty fraction of the most recent incremental rebuild
-    /// (`rescored / total`; 1.0 for a full build, 0.0 before any
-    /// incremental rebuild completes).
-    pub last_dirty_fraction: f64,
-    /// Worker-side wall seconds (kNN patch + blocked LRD) of the most
-    /// recent incremental rebuild (0.0 in classic mode).
-    pub last_patch_seconds: f64,
 }
 
 /// The SGM-PINN sampler (implements [`Sampler`]).
@@ -226,11 +204,6 @@ pub struct SgmSampler {
     epoch: Vec<usize>,
     cursor: usize,
     builder: Option<BackgroundBuilder>,
-    /// Executor for the initial build and for inline (non-background or
-    /// fallback-after-worker-death) rebuilds. In incremental mode it
-    /// keeps its own warm delta engine, so a worker death degrades to
-    /// inline *delta* rebuilds, not full ones.
-    inline_worker: RebuildWorker,
     stats: SgmStats,
     rebuild_counter: u64,
 }
@@ -267,10 +240,6 @@ impl SgmSampler {
     /// `load_state` (same batches, same `save_state` bytes), for the
     /// cost of a projection instead of a kNN + ER + LRD build.
     ///
-    /// In incremental mode with `tau_g > 0` the initial build still
-    /// runs: it warms the inline delta engine, whose later reports feed
-    /// the checkpointed `points_rescored`/`edges_patched`.
-    ///
     /// # Errors
     /// Returns a message for an empty cloud, a `spatial_dims` outside
     /// the cloud's dimension, or a state `load_state` rejects.
@@ -304,7 +273,6 @@ impl SgmSampler {
         let mut rng = Rng64::new(cfg.seed ^ 0xE90C);
         let mut epoch: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut epoch);
-        let warms_engine = cfg.incremental.is_some() && cfg.tau_g > 0;
         let mut sampler = SgmSampler {
             cfg,
             cloud: Arc::new(spatial),
@@ -313,11 +281,10 @@ impl SgmSampler {
             epoch,
             cursor: 0,
             builder: None,
-            inline_worker: RebuildWorker::new(),
             stats: SgmStats::default(),
             rebuild_counter: 0,
         };
-        if state.is_none() || warms_engine {
+        if state.is_none() {
             sampler.initial_build();
         }
         if let Some(state) = state {
@@ -333,16 +300,12 @@ impl SgmSampler {
     fn initial_build(&mut self) {
         let req = self.rebuild_request(self.cloud.clone(), self.cfg.seed);
         let t_build = Instant::now();
-        let output = self.inline_worker.run(&req);
-        self.clustering = output.clustering;
+        self.clustering = run_rebuild(&req);
         self.stats = SgmStats {
             rebuilds_completed: 1,
             last_rebuild_seconds: t_build.elapsed().as_secs_f64(),
             ..SgmStats::default()
         };
-        if let Some(rs) = &output.refresh {
-            self.apply_refresh_stats(rs);
-        }
     }
 
     fn rebuild_request(&self, cloud: Arc<PointCloud>, seed: u64) -> RebuildRequest {
@@ -350,7 +313,6 @@ impl SgmSampler {
             cloud,
             knn: Self::knn_config(&self.cfg, seed),
             lrd: Self::lrd_config(&self.cfg, seed),
-            incremental: self.cfg.incremental.clone(),
         }
     }
 
@@ -449,24 +411,12 @@ impl SgmSampler {
         self.cfg.tau_g > 0 && iter > 0 && iter.is_multiple_of(self.cfg.tau_g)
     }
 
-    /// Folds one incremental refresh report into the cumulative stats.
-    fn apply_refresh_stats(&mut self, rs: &RefreshStats) {
-        self.stats.points_rescored += rs.points_rescored;
-        self.stats.edges_patched += rs.edges_patched;
-        self.stats.last_dirty_fraction = rs.dirty_fraction();
-        self.stats.last_patch_seconds = rs.knn_seconds + rs.lrd_seconds;
-    }
-
     /// Runs a rebuild on the calling thread and applies it immediately,
     /// keeping the bookkeeping aligned with the background path.
     fn rebuild_inline(&mut self, req: &RebuildRequest) {
         let _span = trace::span(TraceLevel::Stages, "sampler", "rebuild_inline");
         let t0 = Instant::now();
-        let output = self.inline_worker.run(req);
-        self.clustering = output.clustering;
-        if let Some(rs) = &output.refresh {
-            self.apply_refresh_stats(rs);
-        }
+        self.clustering = run_rebuild(req);
         self.stats.last_rebuild_seconds = t0.elapsed().as_secs_f64();
         self.stats.rebuilds_requested += 1;
         self.stats.rebuilds_applied += 1;
@@ -477,13 +427,11 @@ impl SgmSampler {
     /// `points`.
     ///
     /// A move-only change updates rows in place and keeps the current
-    /// clustering — in incremental mode the next τ_G rebuild detects the
-    /// moved rows by coordinate comparison and routes them through the
-    /// kNN delta path instead of a from-scratch build. A size change
-    /// invalidates both the epoch indices and the cluster assignment, so
-    /// the PGM is rebuilt inline and the epoch reset to a full-dataset
-    /// shuffle keyed on the point-set epoch (deterministic across thread
-    /// counts).
+    /// clustering until the next τ_G rebuild, which builds its graph
+    /// over the moved coordinates. A size change invalidates both the
+    /// epoch indices and the cluster assignment, so the PGM is rebuilt
+    /// inline and the epoch reset to a full-dataset shuffle keyed on the
+    /// point-set epoch (deterministic across thread counts).
     fn resync_cloud(&mut self, points: &PointSet) {
         let d_sp = self.cfg.spatial_dims.min(points.dim());
         if points.len() == self.cloud.len() {
@@ -579,16 +527,7 @@ impl Sampler for SgmSampler {
             } else {
                 self.cloud.clone()
             };
-            // Incremental mode pins the rebuild seed: the delta engine
-            // caches per-block decompositions keyed on a stable config,
-            // and a per-rebuild seed would invalidate every block every
-            // τ_G. Classic mode keeps the historical per-rebuild mix.
-            let rebuild_seed = if self.cfg.incremental.is_some() {
-                self.cfg.seed
-            } else {
-                self.cfg.seed ^ self.rebuild_counter
-            };
-            let req = self.rebuild_request(cloud, rebuild_seed);
+            let req = self.rebuild_request(cloud, self.cfg.seed ^ self.rebuild_counter);
             match &mut self.builder {
                 Some(b) => match b.request(req.clone()) {
                     Ok(true) => self.stats.rebuilds_requested += 1,
@@ -614,11 +553,8 @@ impl Sampler for SgmSampler {
                     // applying it would desynchronise clustering and
                     // epoch. Discard it — the resync already rebuilt
                     // inline at the new size.
-                    if fresh.clustering.num_nodes() == self.cloud.len() {
-                        self.clustering = fresh.clustering;
-                        if let Some(rs) = &fresh.refresh {
-                            self.apply_refresh_stats(rs);
-                        }
+                    if fresh.num_nodes() == self.cloud.len() {
+                        self.clustering = fresh;
                         self.stats.rebuilds_applied += 1;
                     }
                     self.stats.rebuilds_completed += 1;
@@ -691,10 +627,9 @@ impl Sampler for SgmSampler {
     }
 
     /// Routes collocation-set mutations from an adaptive layer into the
-    /// graph side: moved rows are written into the spatial cloud so the
-    /// next τ_G rebuild's incremental engine sees them as a delta; size
-    /// changes trigger an inline rebuild and a deterministic epoch
-    /// reset.
+    /// graph side: moved rows are written into the spatial cloud, where
+    /// the next τ_G rebuild picks them up; size changes trigger an
+    /// inline rebuild and a deterministic epoch reset.
     fn on_points_changed(&mut self, points: &PointSet, changes: &PointChanges) {
         let _ = changes;
         self.resync_cloud(points);
@@ -766,18 +701,6 @@ impl Sampler for SgmSampler {
         obj.insert(
             "worker_deaths".to_string(),
             num(self.stats.worker_deaths as f64),
-        );
-        obj.insert(
-            "points_rescored".to_string(),
-            num(self.stats.points_rescored as f64),
-        );
-        obj.insert(
-            "edges_patched".to_string(),
-            num(self.stats.edges_patched as f64),
-        );
-        obj.insert(
-            "last_dirty_fraction".to_string(),
-            num(self.stats.last_dirty_fraction),
         );
         Value::Obj(obj)
     }
@@ -857,12 +780,6 @@ impl Sampler for SgmSampler {
             worker_deaths: opt_usize("worker_deaths"),
             rebuilds_completed: opt_usize("rebuilds_completed"),
             rebuilds_stale_served: opt_usize("rebuilds_stale_served"),
-            points_rescored: opt_usize("points_rescored"),
-            edges_patched: opt_usize("edges_patched"),
-            last_dirty_fraction: state
-                .get("last_dirty_fraction")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
             ..self.stats
         };
         Ok(())
@@ -1008,31 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mode_tracks_delta_stats() {
-        let (net, prob, data) = setup(300, 31);
-        let mut cfg = small_cfg();
-        cfg.tau_g = 5;
-        cfg.incremental = Some(RefreshOptions::default());
-        let mut s = SgmSampler::new(&data.interior, cfg);
-        // The initial full build reports every point rescored.
-        assert_eq!(s.stats().points_rescored, 300);
-        assert!((s.stats().last_dirty_fraction - 1.0).abs() < 1e-12);
-        let model = PinnModel::new(&prob, &data);
-        let probe = Probe::new(&net, &model);
-        let mut rng = Rng64::new(32);
-        for iter in 0..11 {
-            s.refresh(iter, &probe, &mut rng);
-        }
-        // The sampler's cloud never moves, so the two τ_G rebuilds are
-        // no-op deltas: nothing rescored, nothing patched.
-        assert_eq!(s.stats().rebuilds_applied, 2);
-        assert_eq!(s.stats().points_rescored, 300);
-        assert_eq!(s.stats().edges_patched, 0);
-        assert_eq!(s.stats().last_dirty_fraction, 0.0);
-        assert_eq!(s.clustering().num_nodes(), 300);
-    }
-
-    #[test]
     fn background_rebuild_eventually_applies() {
         let (net, prob, data) = setup(300, 11);
         let mut cfg = small_cfg();
@@ -1090,7 +982,6 @@ mod tests {
         SgmStats {
             last_rebuild_seconds: 0.0,
             refresh_seconds: 0.0,
-            last_patch_seconds: 0.0,
             ..s
         }
     }
@@ -1108,11 +999,7 @@ mod tests {
             tau_g: 4,
             ..small_cfg()
         };
-        let incremental = SgmConfig {
-            incremental: Some(RefreshOptions::default()),
-            ..rebuilding.clone()
-        };
-        for cfg in [small_cfg(), rebuilding, incremental] {
+        for cfg in [small_cfg(), rebuilding] {
             let mut a = SgmSampler::new(&data.interior, cfg.clone());
             let mut rng = Rng64::new(22);
             // A refresh at 0, an inline rebuild at 4 when τ_G > 0, and
@@ -1151,6 +1038,60 @@ mod tests {
             assert_eq!(state_text(&b), state_text(&a), "{cfg:?}");
             assert_eq!(state_text(&c), state_text(&a), "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn restore_accepts_checkpoints_with_retired_delta_stats() {
+        let (net, prob, data) = setup(250, 28);
+        let model = PinnModel::new(&prob, &data);
+        let probe = Probe::new(&net, &model);
+        let cfg = SgmConfig {
+            tau_g: 4,
+            ..small_cfg()
+        };
+        let mut a = SgmSampler::new(&data.interior, cfg.clone());
+        let mut rng = Rng64::new(29);
+        for iter in 0..7 {
+            a.refresh(iter, &probe, &mut rng);
+            next_batch(&mut a, 64, &mut rng);
+        }
+        let saved = a.save_state();
+        // Checkpoints written while the delta-refresh engine existed
+        // carry three more counters; they are read and ignored.
+        let mut old = saved.clone();
+        let Value::Obj(map) = &mut old else {
+            panic!("sgm state is an object");
+        };
+        for (key, v) in [
+            ("points_rescored", 250.0),
+            ("edges_patched", 17.0),
+            ("last_dirty_fraction", 0.25),
+        ] {
+            assert!(map.insert(key.to_string(), Value::Num(v)).is_none());
+        }
+        let reference = SgmSampler::restore(&data.interior, cfg.clone(), &saved).unwrap();
+        let restored = SgmSampler::restore(&data.interior, cfg.clone(), &old).unwrap();
+        let mut loaded = SgmSampler::new(&data.interior, cfg);
+        loaded.load_state(&old).unwrap();
+        let mut samplers = [reference, restored, loaded];
+        for s in &samplers[1..] {
+            assert_eq!(state_text(s), saved.to_string_compact());
+        }
+        let mut rngs = [rng.clone(), rng.clone(), rng];
+        for iter in 7..25 {
+            let batches: Vec<Vec<usize>> = samplers
+                .iter_mut()
+                .zip(&mut rngs)
+                .map(|(s, r)| {
+                    s.refresh(iter, &probe, r);
+                    next_batch(s, 64, r)
+                })
+                .collect();
+            assert_eq!(batches[1], batches[0], "restore at {iter}");
+            assert_eq!(batches[2], batches[0], "load_state at {iter}");
+        }
+        assert_eq!(state_text(&samplers[1]), state_text(&samplers[0]));
+        assert_eq!(state_text(&samplers[2]), state_text(&samplers[0]));
     }
 
     #[test]

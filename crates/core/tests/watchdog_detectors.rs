@@ -136,7 +136,6 @@ fn killed_rebuild_worker_fires_exactly_one_anomaly_with_valid_dump() {
             ..KnnConfig::default()
         },
         lrd: LrdConfig::default(),
-        incremental: None,
     };
     let mut b = FaultPlan::new([FaultAction::Panic("scripted rebuild crash".into())]).spawn();
     assert!(b.request(req).expect("request accepted"));

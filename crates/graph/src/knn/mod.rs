@@ -13,7 +13,6 @@
 //!   ([`hnsw`]), the `O(N log N)` algorithm the paper cites (Malkov &
 //!   Yashunin, ref [17]).
 
-pub mod grid;
 pub mod hnsw;
 
 use crate::graph::Graph;

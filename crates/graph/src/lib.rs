@@ -49,19 +49,15 @@
 //! ```
 
 pub mod graph;
-pub mod incremental;
 pub mod knn;
 pub mod laplacian;
 pub mod lrd;
 pub mod metrics;
 pub mod partition;
 pub mod points;
-pub mod refresh;
 pub mod resistance;
 pub mod sparsify;
 
 pub use graph::Graph;
-pub use incremental::{IncrementalKnn, IncrementalKnnConfig, KnnDelta};
 pub use lrd::Clustering;
 pub use points::PointCloud;
-pub use refresh::{GraphRefresher, RefreshConfig, RefreshOptions, RefreshStats};

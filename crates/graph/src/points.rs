@@ -170,203 +170,6 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
     sgm_linalg::simd::dist2(a, b)
 }
 
-/// True when `SGM_DIST_F32=1|true|on` requests the compact f32
-/// coordinate storage for incremental kNN maintenance (read per call so
-/// tests can toggle it; the engines capture the value at build time).
-pub fn dist_f32_from_env() -> bool {
-    matches!(
-        std::env::var("SGM_DIST_F32").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
-/// Coordinate storage for the incremental kNN engine: either the native
-/// f64 layout or an opt-in compact f32 layout (`SGM_DIST_F32`) that
-/// halves memory traffic on the distance-dominated refresh path.
-///
-/// All distances are **accumulated in f64** regardless of storage
-/// (`sgm_linalg::simd::dist2_batch` / `dist2_batch_f32`); only the
-/// stored coordinates are rounded in f32 mode. Rounding happens exactly
-/// once, at [`Coords::set`]/construction — every query then sees the
-/// same rounded value, so neighbour rank-ordering is a pure function of
-/// the stored cloud and stays deterministic across thread counts and
-/// SIMD tiers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Coords {
-    /// Native f64 coordinates (bit-identical to the [`PointCloud`]).
-    F64 { dim: usize, data: Vec<f64> },
-    /// Compact f32 coordinates, f64 distance accumulation.
-    F32 { dim: usize, data: Vec<f32> },
-}
-
-impl Coords {
-    /// Captures a cloud into the chosen storage (rounding once in f32
-    /// mode).
-    pub fn from_cloud(cloud: &PointCloud, f32_storage: bool) -> Self {
-        if f32_storage {
-            Coords::F32 {
-                dim: cloud.dim(),
-                data: cloud.as_slice().iter().map(|&v| v as f32).collect(),
-            }
-        } else {
-            Coords::F64 {
-                dim: cloud.dim(),
-                data: cloud.as_slice().to_vec(),
-            }
-        }
-    }
-
-    /// Feature dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        match self {
-            Coords::F64 { dim, .. } | Coords::F32 { dim, .. } => *dim,
-        }
-    }
-
-    /// Number of points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Coords::F64 { dim, data } => data.len() / dim,
-            Coords::F32 { dim, data } => data.len() / dim,
-        }
-    }
-
-    /// True when no points are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Coordinate `d` of point `i`, widened to f64 (grid-cell
-    /// computation and bounds work on this view in both modes).
-    #[inline]
-    pub fn get(&self, i: usize, d: usize) -> f64 {
-        match self {
-            Coords::F64 { dim, data } => data[i * dim + d],
-            Coords::F32 { dim, data } => data[i * dim + d] as f64,
-        }
-    }
-
-    /// Overwrites point `i` with `p` (rounding to f32 in f32 mode).
-    ///
-    /// # Panics
-    /// Panics if `p.len() != dim`.
-    pub fn set(&mut self, i: usize, p: &[f64]) {
-        match self {
-            Coords::F64 { dim, data } => {
-                assert_eq!(p.len(), *dim, "point dimension");
-                data[i * *dim..(i + 1) * *dim].copy_from_slice(p);
-            }
-            Coords::F32 { dim, data } => {
-                assert_eq!(p.len(), *dim, "point dimension");
-                for (dst, &v) in data[i * *dim..(i + 1) * *dim].iter_mut().zip(p) {
-                    *dst = v as f32;
-                }
-            }
-        }
-    }
-
-    /// Squared distance between stored points `i` and `j` (f64
-    /// accumulation in both modes). Symmetric bit-for-bit: the per-axis
-    /// difference of the swapped call is the exact IEEE negation, so
-    /// its square is identical.
-    #[inline]
-    pub fn dist2(&self, i: usize, j: usize) -> f64 {
-        match self {
-            Coords::F64 { dim, data } => sgm_linalg::simd::dist2(
-                &data[i * dim..(i + 1) * dim],
-                &data[j * dim..(j + 1) * dim],
-            ),
-            Coords::F32 { dim, data } => sgm_linalg::simd::dist2_f32(
-                &data[i * dim..(i + 1) * dim],
-                &data[j * dim..(j + 1) * dim],
-            ),
-        }
-    }
-
-    /// Squared displacement of stored point `i` from a proposed new
-    /// position `p`, measured **in storage precision**: in f32 mode `p`
-    /// is rounded first, so a move too small to change the stored f32
-    /// value reports exactly `0.0` (the point genuinely did not move as
-    /// far as any distance computation is concerned).
-    #[inline]
-    pub fn displacement2(&self, i: usize, p: &[f64]) -> f64 {
-        match self {
-            Coords::F64 { dim, data } => sgm_linalg::simd::dist2(&data[i * dim..(i + 1) * dim], p),
-            Coords::F32 { dim, data } => {
-                let stored = &data[i * dim..(i + 1) * dim];
-                let mut s = 0.0f64;
-                for (sv, &pv) in stored.iter().zip(p) {
-                    let d = (sv - pv as f32) as f64;
-                    s += d * d;
-                }
-                s
-            }
-        }
-    }
-
-    /// Scores candidate points against stored query point `q`: gathers
-    /// the candidates into `gather64`/`gather32` (whichever matches the
-    /// storage) and runs the batched distance kernel, leaving
-    /// `out[c] = dist2(cand[c], q)`. The gather is what keeps the
-    /// AVX2 batch kernel fed from scattered grid buckets.
-    pub fn score_candidates(
-        &self,
-        q: usize,
-        cand: &[u32],
-        gather64: &mut Vec<f64>,
-        gather32: &mut Vec<f32>,
-        out: &mut Vec<f64>,
-    ) {
-        out.resize(cand.len(), 0.0);
-        match self {
-            Coords::F64 { dim, data } => {
-                gather64.clear();
-                gather64.reserve(cand.len() * dim);
-                for &c in cand {
-                    let c = c as usize;
-                    gather64.extend_from_slice(&data[c * dim..(c + 1) * dim]);
-                }
-                sgm_linalg::simd::dist2_batch(gather64, *dim, &data[q * dim..(q + 1) * dim], out);
-            }
-            Coords::F32 { dim, data } => {
-                gather32.clear();
-                gather32.reserve(cand.len() * dim);
-                for &c in cand {
-                    let c = c as usize;
-                    gather32.extend_from_slice(&data[c * dim..(c + 1) * dim]);
-                }
-                sgm_linalg::simd::dist2_batch_f32(
-                    gather32,
-                    *dim,
-                    &data[q * dim..(q + 1) * dim],
-                    out,
-                );
-            }
-        }
-    }
-
-    /// Bounding box `(mins, maxs)` of the stored cloud (f64 view).
-    ///
-    /// # Panics
-    /// Panics on an empty store.
-    pub fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
-        assert!(!self.is_empty(), "bounds of empty coords");
-        let (n, dim) = (self.len(), self.dim());
-        let mut mins = vec![f64::INFINITY; dim];
-        let mut maxs = vec![f64::NEG_INFINITY; dim];
-        for i in 0..n {
-            for d in 0..dim {
-                let v = self.get(i, d);
-                mins[d] = mins[d].min(v);
-                maxs[d] = maxs[d].max(v);
-            }
-        }
-        (mins, maxs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -363,8 +363,7 @@ unsafe fn dist2_avx2(a: &[f64], b: &[f64]) -> f64 {
 /// pure function of `(point, q)` — independent of where the point sits
 /// in the batch. The AVX2 tail therefore uses a scalar-*FMA* loop with
 /// the same per-coordinate `fma(d, d, acc)` sequence as the lanes, so
-/// batch regrouping (as the incremental kNN engine's gathered candidate
-/// lists do) can never change a stored distance bit.
+/// regrouping a batch can never change a distance bit.
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `points.len() != out.len() * dim`.
@@ -434,64 +433,6 @@ unsafe fn dist2_batch_avx2(points: &[f64], dim: usize, q: &[f64], out: &mut [f64
     while j < n {
         out[j] = dist2_point_fma(&points[j * dim..(j + 1) * dim], q);
         j += 1;
-    }
-}
-
-/// Squared Euclidean distance over **f32-stored** coordinates with
-/// **f64 accumulation**: each coordinate difference is computed in f32
-/// (matching what the compact storage actually holds), widened to f64,
-/// and squared/summed in f64 so the reduction loses no further
-/// precision. One portable implementation serves both dispatch tiers —
-/// results are bit-identical across `SGM_SIMD` settings by
-/// construction, which is what lets the f32 storage mode participate in
-/// the cross-tier determinism matrix without a per-tier twin.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dist2_f32(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dist2_f32 length mismatch");
-    let n = a.len();
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + 4 <= n {
-        let d0 = (a[i] - b[i]) as f64;
-        let d1 = (a[i + 1] - b[i + 1]) as f64;
-        let d2 = (a[i + 2] - b[i + 2]) as f64;
-        let d3 = (a[i + 3] - b[i + 3]) as f64;
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-        i += 4;
-    }
-    let mut s = (s0 + s2) + (s1 + s3);
-    while i < n {
-        let d = (a[i] - b[i]) as f64;
-        s += d * d;
-        i += 1;
-    }
-    s
-}
-
-/// f32-storage twin of [`dist2_batch`]: squared f64 distances from an
-/// f32 query to every point of a flat row-major f32 cloud. Same
-/// portable single-implementation contract as [`dist2_f32`].
-///
-/// # Panics
-/// Panics if `q.len() != dim` or `points.len() != out.len() * dim`.
-pub fn dist2_batch_f32(points: &[f32], dim: usize, q: &[f32], out: &mut [f64]) {
-    assert!(dim > 0, "dist2_batch_f32 dim must be positive");
-    assert_eq!(q.len(), dim, "dist2_batch_f32 query dim");
-    assert_eq!(points.len(), out.len() * dim, "dist2_batch_f32 cloud shape");
-    for (j, o) in out.iter_mut().enumerate() {
-        let p = &points[j * dim..(j + 1) * dim];
-        let mut s = 0.0f64;
-        for (pv, qv) in p.iter().zip(q) {
-            let d = (pv - qv) as f64;
-            s += d * d;
-        }
-        *o = s;
     }
 }
 

@@ -13,7 +13,8 @@
 //! test releases (or drops) its [`Gate`], making "the rebuild is slow"
 //! a deterministic, schedule-independent state instead of a race.
 
-use sgm_core::background::{BackgroundBuilder, RebuildOutput, RebuildRequest, RebuildWorker};
+use sgm_core::background::{run_rebuild, BackgroundBuilder, RebuildRequest};
+use sgm_graph::lrd::Clustering;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -68,21 +69,19 @@ impl FaultPlan {
     }
 
     /// Spawns a `BackgroundBuilder` whose worker follows this script,
-    /// computing normally once the script is exhausted. Computation runs
-    /// through a real [`RebuildWorker`], so incremental requests exercise
-    /// the production delta engine — and a scripted crash takes that
-    /// engine's state down with the thread, exactly like a real one.
+    /// computing normally once the script is exhausted. Computation is
+    /// the production [`run_rebuild`], so a computed result is exactly
+    /// what the real worker would have sent.
     pub fn spawn(self) -> BackgroundBuilder {
         let mut script = self.actions;
-        let mut worker = RebuildWorker::new();
-        BackgroundBuilder::spawn_with_worker(move |req: &RebuildRequest| -> Option<RebuildOutput> {
+        BackgroundBuilder::spawn_with_worker(move |req: &RebuildRequest| -> Option<Clustering> {
             let action = script.pop_front().unwrap_or(FaultAction::Compute);
             match action {
-                FaultAction::Compute => Some(worker.run(req)),
+                FaultAction::Compute => Some(run_rebuild(req)),
                 FaultAction::HoldThenCompute(gate) => {
                     // Released or dropped — either way, proceed.
                     let _ = gate.recv();
-                    Some(worker.run(req))
+                    Some(run_rebuild(req))
                 }
                 FaultAction::Drop => None,
                 FaultAction::Panic(msg) => panic!("{msg}"),
@@ -110,7 +109,6 @@ mod tests {
                 ..KnnConfig::default()
             },
             lrd: LrdConfig::default(),
-            incremental: None,
         }
     }
 
@@ -126,7 +124,7 @@ mod tests {
         }
         gate.release();
         let out = b.take_blocking().expect("released rebuild completes");
-        assert_eq!(out.clustering.num_nodes(), 120);
+        assert_eq!(out.num_nodes(), 120);
         assert!(!b.is_dead());
     }
 
@@ -153,6 +151,6 @@ mod tests {
         let mut b = FaultPlan::new([]).spawn();
         assert!(b.request(request(4)).unwrap());
         let out = b.take_blocking().expect("default action is Compute");
-        assert_eq!(out.clustering.num_nodes(), 120);
+        assert_eq!(out.num_nodes(), 120);
     }
 }

@@ -13,8 +13,8 @@
 //! Every mutation is recorded in a [`PointChanges`] log that the engine
 //! drains once per iteration — it drives workspace re-validation, the
 //! [`on_points_changed`](crate::Sampler::on_points_changed) notification
-//! (how the SGM graph layer learns which rows to patch through its
-//! incremental-kNN delta path) and the `sgm_train_points_*` metrics.
+//! (how the SGM graph layer learns that its cloud changed) and the
+//! `sgm_train_points_*` metrics.
 //!
 //! # Allocation contract
 //!

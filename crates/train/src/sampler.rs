@@ -20,8 +20,8 @@
 //! [`PointSet`] mutably once per iteration (between `Refresh` and
 //! `Draw`). After a mutating adapt the engine re-validates batch shapes,
 //! gathers all subsequent batches from the mutated set and calls
-//! [`Sampler::on_points_changed`] so graph-backed samplers can patch
-//! their structures incrementally.
+//! [`Sampler::on_points_changed`] so samplers that keep structures
+//! derived from the coordinates can update them.
 //!
 //! # Allocation contract
 //!
@@ -178,8 +178,9 @@ pub trait Sampler {
 
     /// Notification that the adapt phase mutated the set (issued by the
     /// engine after draining the change log, before the draw). Samplers
-    /// layered on graph structures patch them here — the SGM sampler
-    /// routes `changes.moved` into its incremental-kNN delta path.
+    /// layered on graph structures update them here — the SGM sampler
+    /// copies moved rows into the cloud its next τ_G rebuild reads, and
+    /// rebuilds inline when the set changes size.
     fn on_points_changed(&mut self, points: &PointSet, changes: &PointChanges) {
         let _ = (points, changes);
     }

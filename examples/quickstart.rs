@@ -91,10 +91,6 @@ fn main() {
             tau_e: 200,
             tau_g: 1000,
             min_clusters: 32,
-            // τ_G rebuilds go through the persistent delta engine: only
-            // points that moved (and their graph neighborhood) are
-            // re-queried, and only dirty LRD blocks recomputed.
-            incremental: Some(sgm_graph::refresh::RefreshOptions::default()),
             ..SgmConfig::default()
         },
     );
@@ -142,14 +138,6 @@ fn main() {
     println!(
         "rebuilds: {} completed ({} stale epochs served), last took {:.3}s",
         stats.rebuilds_completed, stats.rebuilds_stale_served, stats.last_rebuild_seconds
-    );
-    println!(
-        "incremental engine: {} points rescored, {} edges patched, \
-         last dirty fraction {:.3}, last patch {:.3}s",
-        stats.points_rescored,
-        stats.edges_patched,
-        stats.last_dirty_fraction,
-        stats.last_patch_seconds
     );
     assert!(best < 0.2, "quickstart should reach <20% error");
 }

@@ -75,25 +75,6 @@ cargo bench -p sgm-bench --bench components -- $BENCH_ARGS > target/bench_output
 SGM_SIMD=scalar cargo bench -p sgm-bench --bench components -- $BENCH_ARGS simd_kernels --json "$PWD/target/simd_scalar.json" > target/simd_scalar_output.txt 2>&1 || exit 1
 SGM_SIMD=auto   cargo bench -p sgm-bench --bench components -- $BENCH_ARGS simd_kernels --json "$PWD/target/simd_auto.json"   > target/simd_auto_output.txt 2>&1 || exit 1
 cargo run --release -p sgm-bench --bin bench_diff -- target/simd_scalar.json target/simd_auto.json > target/simd_diff.txt 2>&1 || exit 1
-# Incremental refresh vs full rebuild, same machine, identical
-# (group,name) ids in both dumps — bench_diff's speedup column *is* the
-# delta-engine win. The 1M tier is skipped here (capped at 256k); quick
-# mode dry-runs the bench, producing empty dumps, so the ≥3x gate only
-# arms on real runs.
-REFRESH_MAX_N=${SGM_REFRESH_BENCH_MAX_N:-262144}
-# Quick mode dry-runs produce empty dumps: disarm the gate and keep the
-# scratch diff in target/ so the committed BENCH_PR6.json (real numbers)
-# is never clobbered by a smoke run.
-if [ -z "$BENCH_ARGS" ]; then
-    REFRESH_GATE="--min-speedup 3"
-    REFRESH_JSON="$PWD/BENCH_PR6.json"
-else
-    REFRESH_GATE=""
-    REFRESH_JSON="$PWD/target/refresh_diff_quick.json"
-fi
-SGM_REFRESH_MODE=full  SGM_REFRESH_BENCH_MAX_N=$REFRESH_MAX_N cargo bench -p sgm-bench --bench refresh_scaling -- $BENCH_ARGS --json "$PWD/target/refresh_full.json"  > target/refresh_full_output.txt 2>&1 || exit 1
-SGM_REFRESH_MODE=delta SGM_REFRESH_BENCH_MAX_N=$REFRESH_MAX_N cargo bench -p sgm-bench --bench refresh_scaling -- $BENCH_ARGS --json "$PWD/target/refresh_delta.json" > target/refresh_delta_output.txt 2>&1 || exit 1
-cargo run --release -p sgm-bench --bin bench_diff -- $REFRESH_GATE --json "$REFRESH_JSON" target/refresh_full.json target/refresh_delta.json > target/refresh_diff.txt 2>&1 || exit 1
 # Batched multi-model execution: the same multi_model cases run B
 # sequential solo passes (seq) and one interleaved BatchedMlp pass
 # (batched); bench_diff's speedup column is the batched-execution win.
