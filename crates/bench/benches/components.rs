@@ -155,7 +155,8 @@ fn bench_er_and_lrd(r: &mut Runner) {
 }
 
 fn bench_isr(r: &mut Runner) {
-    for &n in &[64usize, 128, 256] {
+    // 192 is the `isr_cap` of `experiments::sgm_config`.
+    for &n in &[64usize, 128, 192, 256] {
         let mut rng = Rng64::new(3);
         let inputs = PointCloud::uniform_box(n, 3, 0.0, 1.0, &mut rng);
         let outputs = {

@@ -121,7 +121,8 @@ pub struct SgmConfig {
     pub isr_weight: f64,
     /// SPADE configuration for the ISR pass.
     pub spade: SpadeConfig,
-    /// Cap on the number of probe points entering the dense ISR solve.
+    /// Cap on the number of probe points entering the ISR solve (its
+    /// dense Cholesky factorisation is cubic in this count).
     pub isr_cap: usize,
     /// Leading input columns used as the kNN space (spatial coordinates;
     /// the PGM is built on these, per paper §3.2).

@@ -448,7 +448,7 @@ impl Matrix {
 
     /// Full symmetric eigendecomposition by cyclic Jacobi rotations.
     /// Returns `(eigenvalues, eigenvector_columns)`. O(n³); intended for
-    /// small matrices (oracles / ISR on probe subsets).
+    /// small matrices (test oracles and [`Matrix::sym_pinv`]).
     ///
     /// # Panics
     /// Panics if the matrix is not square.

@@ -2,9 +2,11 @@
 //! implicit QL algorithm for the resulting tridiagonal matrices, and power
 //! iteration.
 //!
-//! The stability crate uses [`lanczos`] on the pencil operator `L_Y⁺ L_X`
-//! (symmetrised) to obtain the top-`r` eigenpairs that define the ISR edge
-//! scores (paper Eq. 9–11).
+//! The stability crate runs [`lanczos`] on the Cholesky-reduced pencil
+//! operator `C⁻¹ L_X C⁻ᵀ`, where `C Cᵀ = L_Y + εI`, applied as a
+//! triangular solve, a sparse `L_X` product and a second triangular
+//! solve. Its top-`r` eigenpairs define the ISR edge scores (paper
+//! Eq. 9–11).
 
 use crate::dense::{axpy, dot, norm2, scale, Matrix};
 use crate::rng::Rng64;
@@ -122,12 +124,10 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, Matrix) {
 pub struct LanczosOptions {
     /// Number of eigenpairs wanted.
     pub num_pairs: usize,
-    /// Krylov subspace dimension (defaults to `max(2·num_pairs + 10, 30)`
-    /// when zero).
-    pub subspace: usize,
     /// Which end of the spectrum.
     pub end: SpectrumEnd,
-    /// RNG seed for the starting vector.
+    /// RNG seed for the starting vector (and for restart vectors after a
+    /// breakdown).
     pub seed: u64,
 }
 
@@ -135,18 +135,34 @@ impl Default for LanczosOptions {
     fn default() -> Self {
         LanczosOptions {
             num_pairs: 4,
-            subspace: 0,
             end: SpectrumEnd::Largest,
             seed: 0xDEC0DE,
         }
     }
 }
 
+/// Relative residual tolerance of [`lanczos`]: a wanted Ritz pair
+/// `(θ, Q s)` of the `m`-step basis has converged once its residual
+/// bound `β_m·|s_m|` is at most `LANCZOS_TOL·|θ|`.
+const LANCZOS_TOL: f64 = 1e-10;
+/// Basis growth between two convergence checks (each check
+/// diagonalises the tridiagonal matrix).
+const LANCZOS_CHECK_EVERY: usize = 8;
+/// A step whose new direction is this small relative to the largest
+/// `|α|`/`β` so far has found an invariant subspace.
+const LANCZOS_BREAKDOWN: f64 = 1e-12;
+
 /// Symmetric Lanczos with full reorthogonalisation.
 ///
-/// Returns up to `opts.num_pairs` Ritz pairs from the requested end of the
-/// spectrum. The operator must be symmetric; Ritz pairs of non-symmetric
-/// operators are not meaningful.
+/// Returns `min(opts.num_pairs, n)` Ritz pairs from the requested end of
+/// the spectrum, best first. The Krylov basis grows until the residual
+/// bounds of all wanted pairs fall below a fixed relative tolerance
+/// (`1e-10`, checked every 8 steps), and at the latest until it spans
+/// the whole space (`m = n`), where the pairs are exact. On breakdown
+/// (the basis spans an invariant subspace) it continues from a random
+/// vector orthogonal to the basis, so further copies of a repeated
+/// eigenvalue are found too. The operator must be symmetric; Ritz pairs
+/// of non-symmetric operators are not meaningful.
 ///
 /// # Panics
 /// Panics if `opts.num_pairs == 0` or the operator dimension is zero.
@@ -154,62 +170,56 @@ pub fn lanczos<A: LinOp + ?Sized>(a: &A, opts: &LanczosOptions) -> Vec<EigenPair
     let n = a.dim();
     assert!(n > 0, "empty operator");
     assert!(opts.num_pairs > 0, "num_pairs must be positive");
-    let m = if opts.subspace == 0 {
-        (2 * opts.num_pairs + 10).max(30).min(n)
-    } else {
-        opts.subspace.min(n)
-    };
+    let r = opts.num_pairs.min(n);
 
     let mut rng = Rng64::new(opts.seed);
-    let mut q: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    let mut v0: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-    let nv = norm2(&v0).max(1e-300);
-    scale(&mut v0, 1.0 / nv);
-    q.push(v0);
-
-    let mut alphas = Vec::with_capacity(m);
-    let mut betas: Vec<f64> = Vec::with_capacity(m);
+    let mut q: Vec<Vec<f64>> = vec![fresh_direction(&[], n, &mut rng)];
+    let mut alphas: Vec<f64> = Vec::new();
+    // `betas[j]` couples `q[j]` and `q[j + 1]`; 0 where a breakdown
+    // restarted the basis.
+    let mut betas: Vec<f64> = Vec::new();
+    let mut t_scale = 0.0f64;
     let mut w = vec![0.0; n];
-    for j in 0..m {
+    let (vals, vecs, order) = loop {
+        let j = alphas.len();
         a.apply_to(&q[j], &mut w);
         let alpha = dot(&w, &q[j]);
-        alphas.push(alpha);
         axpy(-alpha, &q[j], &mut w);
         if j > 0 {
-            let beta_prev = betas[j - 1];
-            axpy(-beta_prev, &q[j - 1], &mut w);
+            axpy(-betas[j - 1], &q[j - 1], &mut w);
         }
-        // Full reorthogonalisation (twice for stability).
-        for _ in 0..2 {
-            for qi in &q {
-                let c = dot(&w, qi);
-                if c != 0.0 {
-                    axpy(-c, qi, &mut w);
-                }
+        orthogonalise(&mut w, &q);
+        let beta = norm2(&w);
+        alphas.push(alpha);
+        let m = j + 1;
+        t_scale = t_scale.max(alpha.abs()).max(beta);
+        let breakdown = beta <= LANCZOS_BREAKDOWN * t_scale;
+        // At a breakdown every Ritz residual is zero, but the rest of the
+        // space is unexplored, so convergence is only judged mid-run.
+        if m == n || (!breakdown && m >= r && m.is_multiple_of(LANCZOS_CHECK_EVERY)) {
+            let (vals, vecs) = tridiag_eig(&alphas, &betas);
+            let order = ranked(&vals, opts.end);
+            let converged = order[..r]
+                .iter()
+                .all(|&i| (beta * vecs.get(m - 1, i)).abs() <= LANCZOS_TOL * vals[i].abs());
+            if m == n || converged {
+                break (vals, vecs, order);
             }
         }
-        let beta = norm2(&w);
-        if beta < 1e-12 || j + 1 == m {
-            break;
+        if breakdown {
+            betas.push(0.0);
+            q.push(fresh_direction(&q, n, &mut rng));
+        } else {
+            betas.push(beta);
+            q.push(w.iter().map(|x| x / beta).collect());
         }
-        betas.push(beta);
-        let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
-        q.push(next);
-    }
+    };
 
-    let k = alphas.len();
-    let (vals, vecs) = tridiag_eig(&alphas, &betas[..k.saturating_sub(1)]);
-    let mut order: Vec<usize> = (0..k).collect();
-    match opts.end {
-        SpectrumEnd::Largest => order.sort_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap()),
-        SpectrumEnd::Smallest => order.sort_by(|&a, &b| vals[a].partial_cmp(&vals[b]).unwrap()),
-    }
-    order
-        .into_iter()
-        .take(opts.num_pairs)
-        .map(|ti| {
+    order[..r]
+        .iter()
+        .map(|&ti| {
             let mut vec = vec![0.0; n];
-            for (j, qj) in q.iter().enumerate().take(k) {
+            for (j, qj) in q.iter().enumerate() {
                 axpy(vecs.get(j, ti), qj, &mut vec);
             }
             let nv = norm2(&vec).max(1e-300);
@@ -220,6 +230,45 @@ pub fn lanczos<A: LinOp + ?Sized>(a: &A, opts: &LanczosOptions) -> Vec<EigenPair
             }
         })
         .collect()
+}
+
+/// Indices of `vals` ordered from the wanted end of the spectrum.
+fn ranked(vals: &[f64], end: SpectrumEnd) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..vals.len()).collect();
+    match end {
+        SpectrumEnd::Largest => order.sort_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap()),
+        SpectrumEnd::Smallest => order.sort_by(|&a, &b| vals[a].partial_cmp(&vals[b]).unwrap()),
+    }
+    order
+}
+
+/// Removes from `w` its components along the orthonormal vectors `q`
+/// (two passes, for stability).
+fn orthogonalise(w: &mut [f64], q: &[Vec<f64>]) {
+    for _ in 0..2 {
+        for qi in q {
+            let c = dot(w, qi);
+            if c != 0.0 {
+                axpy(-c, qi, w);
+            }
+        }
+    }
+}
+
+/// A random unit vector orthogonal to the orthonormal vectors `q`, which
+/// must span fewer than `n` dimensions.
+fn fresh_direction(q: &[Vec<f64>], n: usize, rng: &mut Rng64) -> Vec<f64> {
+    loop {
+        let mut v: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
+        let drawn = norm2(&v);
+        orthogonalise(&mut v, q);
+        let nv = norm2(&v);
+        // A draw (almost) inside span(q) leaves only rounding noise.
+        if nv > 1e-6 * drawn {
+            scale(&mut v, 1.0 / nv);
+            return v;
+        }
+    }
 }
 
 /// Power iteration for the dominant eigenpair of a symmetric operator.
@@ -328,7 +377,6 @@ mod tests {
             &a,
             &LanczosOptions {
                 num_pairs: 3,
-                subspace: 12,
                 ..LanczosOptions::default()
             },
         );
@@ -351,7 +399,6 @@ mod tests {
             &a,
             &LanczosOptions {
                 num_pairs: 3,
-                subspace: 10,
                 ..LanczosOptions::default()
             },
         );
@@ -362,6 +409,33 @@ mod tests {
                 p.value,
                 vals[i]
             );
+        }
+    }
+
+    #[test]
+    fn lanczos_repeated_values_restart_after_breakdown() {
+        // Two distinct values: each Krylov run breaks down after two
+        // steps with one copy of each, so the other copies of 6 come
+        // from the restarts.
+        let a = diag_op(&[6.0, 1.0, 6.0, 1.0, 6.0, 1.0, 6.0, 1.0, 6.0, 1.0]);
+        let pairs = lanczos(
+            &a,
+            &LanczosOptions {
+                num_pairs: 4,
+                ..LanczosOptions::default()
+            },
+        );
+        assert_eq!(pairs.len(), 4);
+        for (i, p) in pairs.iter().enumerate() {
+            assert!((p.value - 6.0).abs() < 1e-10, "λ{i} = {}", p.value);
+            let av = a.apply(&p.vector);
+            for (avi, vi) in av.iter().zip(&p.vector) {
+                assert!((avi - p.value * vi).abs() < 1e-8, "pair {i} residual");
+            }
+            for (j, other) in pairs.iter().enumerate().take(i) {
+                let c = dot(&p.vector, &other.vector);
+                assert!(c.abs() < 1e-8, "pairs {j} and {i} overlap by {c}");
+            }
         }
     }
 

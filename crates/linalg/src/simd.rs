@@ -37,8 +37,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// A SIMD dispatch tier. See the module docs for the determinism
 /// contract between tiers.
@@ -54,7 +53,7 @@ pub enum SimdTier {
 
 impl SimdTier {
     /// Stable numeric id for telemetry gauges and the forced-tier
-    /// atomic: Scalar = 1, Avx2 = 2, Avx512 = 3.
+    /// override: Scalar = 1, Avx2 = 2, Avx512 = 3.
     pub fn code(self) -> u8 {
         match self {
             SimdTier::Scalar => 1,
@@ -150,16 +149,12 @@ pub fn detected_tier() -> SimdTier {
     })
 }
 
-/// Forced-tier override: 0 = none (use [`detected_tier`]).
-static FORCED: AtomicU8 = AtomicU8::new(0);
-/// Serialises [`with_tier`] regions — the override is process-global (it
-/// must reach pool workers), so concurrent forcings would race.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The dispatch tier in effect for kernel calls right now.
+/// The dispatch tier in effect for kernel calls on this thread right
+/// now: the [`with_tier`] override if one is active, else
+/// [`detected_tier`].
 #[inline]
 pub fn current_tier() -> SimdTier {
-    match FORCED.load(Ordering::Relaxed) {
+    match sgm_par::dispatch_override() {
         1 => SimdTier::Scalar,
         2 => SimdTier::Avx2,
         3 => SimdTier::Avx512,
@@ -183,12 +178,13 @@ pub fn available_tiers() -> &'static [SimdTier] {
 /// Runs `f` with the dispatch tier forced to `tier`, restoring the
 /// previous setting afterwards (including on panic).
 ///
-/// The override is **process-global** — unlike `sgm_par`'s thread-local
-/// parallelism override it must be visible to pool worker threads, which
-/// execute kernels on the forcing thread's behalf. Concurrent `with_tier`
-/// regions therefore serialise on an internal lock; bit-exactness tests
-/// that must not observe a tier flip mid-flight should pin their tier
-/// with this function.
+/// The override is **thread-scoped**. It holds on the calling thread and
+/// in every `sgm_par` pool job submitted from inside `f`, whichever
+/// thread runs the job, because `ThreadPool::run` carries the
+/// submitter's override into each job. It does not reach threads outside
+/// the pool, such as SGM's background rebuild thread: those run at
+/// [`detected_tier`]. Concurrent `with_tier` regions on different
+/// threads therefore never see each other's tier.
 ///
 /// # Panics
 /// Panics if `tier` is [`SimdTier::Avx2`] on a host without AVX2+FMA,
@@ -202,15 +198,7 @@ pub fn with_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
         tier != SimdTier::Avx512 || avx512_available(),
         "cannot force the AVX-512 tier: host lacks AVX-512F"
     );
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED.store(self.0, Ordering::Relaxed);
-        }
-    }
-    let _restore = Restore(FORCED.swap(tier.code(), Ordering::Relaxed));
-    f()
+    sgm_par::with_dispatch_override(tier.code(), f)
 }
 
 // Per-kernel dispatch is an explicit `match current_tier()` on x86-64;
@@ -2959,6 +2947,41 @@ mod tests {
             with_tier(SimdTier::Scalar, || panic!("boom"));
         });
         assert_eq!(current_tier(), base);
+    }
+
+    #[test]
+    fn forced_tier_stays_on_its_thread() {
+        // While another thread is inside `with_tier`, this one still
+        // dispatches at the detected tier.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                with_tier(SimdTier::Scalar, || {
+                    barrier.wait();
+                    barrier.wait();
+                })
+            });
+            barrier.wait();
+            let seen = current_tier();
+            barrier.wait();
+            assert_eq!(seen, detected_tier());
+        });
+    }
+
+    #[test]
+    fn forced_tier_reaches_pool_jobs() {
+        // The two jobs meet at a barrier, so the caller runs one and the
+        // pool's worker thread the other.
+        let pool = sgm_par::ThreadPool::new(2);
+        let barrier = std::sync::Barrier::new(2);
+        let seen = with_tier(SimdTier::Scalar, || {
+            pool.par_map_indexed(2, 1, |_| {
+                barrier.wait();
+                (current_tier(), std::thread::current().id())
+            })
+        });
+        assert_ne!(seen[0].1, seen[1].1, "both jobs ran on one thread");
+        assert!(seen.iter().all(|&(t, _)| t == SimdTier::Scalar), "{seen:?}");
     }
 
     #[test]

@@ -123,7 +123,6 @@ fn lanczos_matches_jacobi() {
             &a,
             &LanczosOptions {
                 num_pairs: 1,
-                subspace: n,
                 end: SpectrumEnd::Largest,
                 seed,
             },

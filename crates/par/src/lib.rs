@@ -129,6 +129,33 @@ pub fn with_parallelism<R>(p: Parallelism, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+thread_local! {
+    static DISPATCH: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+}
+
+/// The calling thread's kernel-dispatch override: an opaque code that
+/// `sgm-linalg`'s `simd::with_tier` sets (0 = none). It lives here
+/// because [`ThreadPool::run`] carries the submitting thread's code into
+/// every job, so a forced tier reaches the pool workers that run kernels
+/// on the caller's behalf, and no other thread.
+#[inline]
+pub fn dispatch_override() -> u8 {
+    DISPATCH.with(|c| c.get())
+}
+
+/// Runs `f` with the calling thread's dispatch override set to `code`
+/// (restored afterwards, including on panic).
+pub fn with_dispatch_override<R>(code: u8, f: impl FnOnce() -> R) -> R {
+    struct Restore(u8);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DISPATCH.with(|c| c.set(self.0));
+        }
+    }
+    let _guard = Restore(DISPATCH.with(|c| c.replace(code)));
+    f()
+}
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
@@ -218,7 +245,9 @@ impl ThreadPool {
     /// Executes every task to completion before returning. Tasks may
     /// borrow from the caller's stack — the blocking join makes the
     /// lifetime erasure below sound. Panics in tasks are caught on the
-    /// worker and re-raised here after all tasks finish.
+    /// worker and re-raised here after all tasks finish. Every task runs
+    /// under the submitting thread's trace parent and
+    /// [`dispatch_override`], whichever thread executes it.
     pub fn run<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         if tasks.is_empty() {
             return;
@@ -234,6 +263,8 @@ impl ThreadPool {
         // Cross-thread parent for worker task spans: whatever span the
         // submitting thread is inside when it fans out.
         let parent_ctx = trace::current_context();
+        // Whichever thread runs a job, it runs at the submitter's tier.
+        let dispatch = dispatch_override();
         {
             let mut q = self.shared.queue.lock().expect("queue poisoned");
             for task in tasks {
@@ -244,7 +275,10 @@ impl ThreadPool {
                         trace::span_with_parent(trace::TraceLevel::Full, "par", "task", parent_ctx);
                     JOBS_TOTAL.inc();
                     BUSY_WORKERS.add(1.0);
-                    if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
+                    let outcome = with_dispatch_override(dispatch, || {
+                        std::panic::catch_unwind(AssertUnwindSafe(task))
+                    });
+                    if outcome.is_err() {
                         panicked.store(true, Ordering::SeqCst);
                     }
                     BUSY_WORKERS.add(-1.0);

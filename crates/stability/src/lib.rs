@@ -21,10 +21,12 @@
 //! with the *inputs* — exactly the signal plain loss-based importance
 //! sampling misses on parameterised problems (paper §2.2, §4.2).
 //!
-//! The probe sets SGM-PINN scores are small (`r%` of each cluster), so the
-//! pencil is solved densely: Cholesky-reduce `(L_X, L_Y + εI)` to a standard
-//! symmetric problem and run Jacobi eigendecomposition. This is exact and
-//! `O(n³)` in the *probe* count, not the dataset size.
+//! Only the top `r` pairs are needed, so the pencil is solved as in SPADE:
+//! Cholesky-factor `L_Y + εI = C Cᵀ` once (dense, `O(n³/6)` in the *probe*
+//! count, not the dataset size), then run [`lanczos`] on the standard
+//! symmetric operator `C⁻¹ L_X C⁻ᵀ`. Each application is a triangular
+//! solve, a sparse `L_X` product and a second triangular solve, so the
+//! `n × n` reduced matrix is never formed.
 //!
 //! # Example
 //!
@@ -46,7 +48,9 @@ use sgm_graph::graph::Graph;
 use sgm_graph::knn::{build_knn_graph, KnnConfig, KnnStrategy};
 use sgm_graph::laplacian::regularized_laplacian;
 use sgm_graph::points::PointCloud;
-use sgm_linalg::dense::Matrix;
+use sgm_linalg::dense::{scale, Matrix};
+use sgm_linalg::eigen::{lanczos, LanczosOptions};
+use sgm_linalg::sparse::{Csr, LinOp};
 
 /// Configuration for [`spade_scores`].
 #[derive(Debug, Clone, PartialEq)]
@@ -119,52 +123,34 @@ pub fn spade_scores_from_graphs(gx: &Graph, gy: &Graph, cfg: &SpadeConfig) -> Sp
     let n = gx.num_nodes();
     assert_eq!(n, gy.num_nodes(), "graph node counts differ");
     assert!(n >= 3, "need at least 3 nodes");
-    let lx = regularized_laplacian(gx, cfg.reg_eps).to_dense();
-    let ly = regularized_laplacian(gy, cfg.reg_eps).to_dense();
-
     // Generalized symmetric problem L_X v = λ L_Y v via Cholesky reduction:
     // L_Y = C Cᵀ  ⇒  (C⁻¹ L_X C⁻ᵀ) u = λ u,  v = C⁻ᵀ u.
-    let c = ly
-        .cholesky()
-        .expect("regularised Laplacian is positive definite");
-    let mut a = Matrix::zeros(n, n);
-    for col in 0..n {
-        let mut e = vec![0.0; n];
-        e[col] = 1.0;
-        let cinv_t = c.back_substitute_t(&e);
-        let lx_c = lx.mul_vec(&cinv_t);
-        let a_col = c.forward_substitute(&lx_c);
-        for (row, &v) in a_col.iter().enumerate() {
-            a.set(row, col, v);
-        }
-    }
-    // Symmetrise against round-off.
-    for i in 0..n {
-        for j in i + 1..n {
-            let m = 0.5 * (a.get(i, j) + a.get(j, i));
-            a.set(i, j, m);
-            a.set(j, i, m);
-        }
-    }
-    let (vals, vecs) = a.sym_eig();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&p, &q| vals[q].partial_cmp(&vals[p]).unwrap());
-    let r = cfg.num_pairs.min(n);
-    let top: Vec<usize> = order[..r].to_vec();
-    let eigenvalues: Vec<f64> = top.iter().map(|&i| vals[i]).collect();
+    let pencil = ReducedPencil {
+        lx: regularized_laplacian(gx, cfg.reg_eps),
+        c: regularized_laplacian(gy, cfg.reg_eps)
+            .to_dense()
+            .cholesky()
+            .expect("regularised Laplacian is positive definite"),
+    };
+    let pairs = lanczos(
+        &pencil,
+        &LanczosOptions {
+            num_pairs: cfg.num_pairs,
+            ..LanczosOptions::default()
+        },
+    );
+    let eigenvalues: Vec<f64> = pairs.iter().map(|p| p.value).collect();
     let isr_max = eigenvalues.first().copied().unwrap_or(0.0);
 
     // Transform eigenvectors back: v = C⁻ᵀ u, then scale by √λ.
-    let mut vr: Vec<Vec<f64>> = Vec::with_capacity(r);
-    for (&ti, &lam) in top.iter().zip(&eigenvalues) {
-        let u: Vec<f64> = (0..n).map(|row| vecs.get(row, ti)).collect();
-        let mut v = c.back_substitute_t(&u);
-        let s = lam.max(0.0).sqrt();
-        for x in &mut v {
-            *x *= s;
-        }
-        vr.push(v);
-    }
+    let vr: Vec<Vec<f64>> = pairs
+        .iter()
+        .map(|p| {
+            let mut v = pencil.c.back_substitute_t(&p.vector);
+            scale(&mut v, p.value.max(0.0).sqrt());
+            v
+        })
+        .collect();
 
     // Edge score ‖V_rᵀ e_pq‖² = Σ_k (v_k(p) − v_k(q))²; node score = mean
     // over input-graph neighbours (Eq. 11).
@@ -195,6 +181,24 @@ pub fn spade_scores_from_graphs(gx: &Graph, gy: &Graph, cfg: &SpadeConfig) -> Sp
         isr_max,
         node_scores,
         eigenvalues,
+    }
+}
+
+/// The Cholesky-reduced pencil `C⁻¹ L_X C⁻ᵀ` as an operator: sparse
+/// `L_X`, lower-triangular `C` with `C Cᵀ = L_Y + εI`.
+struct ReducedPencil {
+    lx: Csr,
+    c: Matrix,
+}
+
+impl LinOp for ReducedPencil {
+    fn dim(&self) -> usize {
+        self.lx.rows()
+    }
+
+    fn apply_to(&self, x: &[f64], y: &mut [f64]) {
+        let t = self.lx.apply(&self.c.back_substitute_t(x));
+        y.copy_from_slice(&self.c.forward_substitute(&t));
     }
 }
 

@@ -30,6 +30,9 @@
 //! * [`prometheus`] — strict validation of the Prometheus text
 //!   exposition served by `GET /metrics?format=prometheus`, plus the
 //!   `validate_prometheus` bin for CI scrapes.
+//! * [`isr`] — the dense ISR oracle: SPADE's Cholesky-reduced pencil
+//!   formed in full and diagonalised by Jacobi, against which the
+//!   production Lanczos solve in `sgm-stability` is swept.
 //!
 //! Statistical acceptance tests (chi-square / KS) build on the
 //! `sgm_linalg::stats` utilities; the integration suites under
@@ -38,6 +41,7 @@
 
 pub mod fault;
 pub mod gradcheck;
+pub mod isr;
 pub mod mms;
 pub mod prometheus;
 pub mod sweep;
