@@ -61,7 +61,7 @@ use sgm_graph::resistance::{approx_edge_resistances, ApproxErOptions};
 use sgm_linalg::dense::{gemm, gemm_reference, Matrix};
 use sgm_linalg::rng::Rng64;
 use sgm_nn::activation::Activation;
-use sgm_nn::mlp::{BatchDerivatives, Mlp, MlpConfig};
+use sgm_nn::mlp::{BatchDerivatives, Gradients, Mlp, MlpConfig, MlpWorkspace};
 use sgm_nn::BatchedMlp;
 use sgm_par::Parallelism;
 use sgm_stability::{spade_scores, SpadeConfig};
@@ -188,15 +188,31 @@ fn mlp_48x4(rng: &mut Rng64) -> Mlp {
     )
 }
 
+/// One training-style forward + backward pass through a workspace built
+/// outside the timed closure, as the training loop does.
+fn fwd_derivs_bwd(
+    net: &Mlp,
+    x: &Matrix,
+    ws: &mut MlpWorkspace,
+    adj: &BatchDerivatives,
+    grads: &mut Gradients,
+) -> f64 {
+    grads.zero();
+    net.forward_with_derivs_ws(x, &[0, 1], ws);
+    net.backward_ws(ws, adj, grads);
+    ws.derivs().values.get(0, 0)
+}
+
 fn bench_mlp(r: &mut Runner) {
     let mut rng = Rng64::new(4);
     let net = mlp_48x4(&mut rng);
     for &b_sz in &[128usize, 512, 2048] {
         let x = Matrix::gaussian(b_sz, 3, &mut rng);
+        let mut ws = net.make_workspace(b_sz, 2);
+        let adj = BatchDerivatives::zeros(b_sz, 4, 2);
+        let mut grads = net.zero_gradients();
         r.bench("mlp_fwd_bwd", &format!("fwd_derivs_bwd_{b_sz}"), || {
-            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
-            let adj = BatchDerivatives::zeros_like(&full);
-            net.backward(&cache, &adj)
+            fwd_derivs_bwd(&net, &x, &mut ws, &adj, &mut grads)
         });
         r.bench("mlp_fwd_bwd", &format!("fwd_values_only_{b_sz}"), || {
             net.forward(&x)
@@ -208,18 +224,15 @@ fn bench_mlp_threads(r: &mut Runner) {
     let mut rng = Rng64::new(12);
     let net = mlp_48x4(&mut rng);
     let x = Matrix::gaussian(2048, 3, &mut rng);
+    let mut ws = net.make_workspace(2048, 2);
+    let adj = BatchDerivatives::zeros(2048, 4, 2);
+    let mut grads = net.zero_gradients();
     for &t in &THREAD_POINTS {
         let p = parallelism_for(t);
         r.bench(
             "mlp_fwd_threads",
             &format!("fwd_derivs_bwd_2048_t{t}"),
-            || {
-                sgm_par::with_parallelism(p, || {
-                    let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
-                    let adj = BatchDerivatives::zeros_like(&full);
-                    net.backward(&cache, &adj)
-                })
-            },
+            || sgm_par::with_parallelism(p, || fwd_derivs_bwd(&net, &x, &mut ws, &adj, &mut grads)),
         );
     }
 }
@@ -350,12 +363,11 @@ fn bench_probe_refresh_threads(r: &mut Runner) {
     }
 }
 
-/// Old-style allocating training loop vs the staged workspace engine
-/// (`sgm-train`), both serial, interior-only, identical batch sizes.
-/// Each case runs `K` Adam iterations per timed call; the eprinted
-/// alloc/iter figures feed BENCH_PR2.json.
+/// The staged workspace engine (`sgm-train`), serial, interior-only:
+/// `K` Adam iterations per timed call, with the heap allocations per
+/// iteration eprinted alongside.
 fn bench_trainer_overhead(r: &mut Runner) {
-    use sgm_nn::optimizer::{Adam, AdamConfig};
+    use sgm_nn::optimizer::AdamConfig;
     use sgm_physics::PinnModel;
     use sgm_train::{TrainOptions, Trainer, UniformSampler};
 
@@ -363,8 +375,8 @@ fn bench_trainer_overhead(r: &mut Runner) {
     let batch = 256usize;
     let (_, problem, data) = refresh_fixture();
     let n = data.interior.len();
-    let mk_net = || {
-        Mlp::new(
+    sgm_par::with_parallelism(Parallelism::Serial, || {
+        let mut net = Mlp::new(
             &MlpConfig {
                 input_dim: 2,
                 output_dim: 1,
@@ -374,80 +386,42 @@ fn bench_trainer_overhead(r: &mut Runner) {
                 fourier: None,
             },
             &mut Rng64::new(6),
-        )
-    };
-    sgm_par::with_parallelism(Parallelism::Serial, || {
-        {
-            let mut net = mk_net();
-            let mut adam = Adam::new(&net, AdamConfig::default());
-            let mut rng = Rng64::new(77);
-            let mut allocs = 0usize;
-            let mut calls = 0usize;
-            r.bench(
-                "trainer_overhead",
-                &format!("alloc_loop_{K}x_b{batch}"),
-                || {
-                    let a0 = alloc_count();
-                    for _ in 0..K {
-                        let idx: Vec<usize> = (0..batch).map(|_| rng.below(n)).collect();
-                        let mut x = Matrix::zeros(batch, 2);
-                        for (row, &i) in idx.iter().enumerate() {
-                            let p = data.interior.point(i);
-                            x.set(row, 0, p[0]);
-                            x.set(row, 1, p[1]);
-                        }
-                        let (_loss, grads, _per) = problem.interior_loss_and_grads(&net, &x);
-                        adam.step(&mut net, &grads);
-                    }
-                    allocs += alloc_count() - a0;
-                    calls += 1;
-                },
+        );
+        let model = PinnModel::new(&problem, &data);
+        let mut sampler = UniformSampler::new(n);
+        let opts = TrainOptions {
+            iterations: K,
+            batch_interior: batch,
+            batch_boundary: 0,
+            adam: AdamConfig::default(),
+            seed: 78,
+            record_every: 10 * K,
+            max_seconds: None,
+            synthetic_dt: None,
+        };
+        let mut allocs = 0usize;
+        let mut calls = 0usize;
+        r.bench(
+            "trainer_overhead",
+            &format!("engine_run_{K}x_b{batch}"),
+            || {
+                let a0 = alloc_count();
+                let mut tr = Trainer {
+                    net: &mut net,
+                    model: &model,
+                };
+                tr.run(&mut sampler, None, &opts);
+                allocs += alloc_count() - a0;
+                calls += 1;
+            },
+        );
+        // A filter that skips the case leaves nothing to divide by.
+        if calls > 0 {
+            eprintln!(
+                "[trainer_overhead] engine_run: {:.1} allocs/iter (includes per-run \
+                 workspace construction; steady-state is 0 — see train_zero_alloc)",
+                allocs as f64 / (calls * K) as f64
             );
-            // A filter that skips the case leaves nothing to divide by.
-            if calls > 0 {
-                eprintln!(
-                    "[trainer_overhead] alloc_loop: {:.1} allocs/iter",
-                    allocs as f64 / (calls * K) as f64
-                );
-            }
-        }
-        {
-            let mut net = mk_net();
-            let model = PinnModel::new(&problem, &data);
-            let mut sampler = UniformSampler::new(n);
-            let opts = TrainOptions {
-                iterations: K,
-                batch_interior: batch,
-                batch_boundary: 0,
-                adam: AdamConfig::default(),
-                seed: 78,
-                record_every: 10 * K,
-                max_seconds: None,
-                synthetic_dt: None,
-            };
-            let mut allocs = 0usize;
-            let mut calls = 0usize;
-            r.bench(
-                "trainer_overhead",
-                &format!("engine_run_{K}x_b{batch}"),
-                || {
-                    let a0 = alloc_count();
-                    let mut tr = Trainer {
-                        net: &mut net,
-                        model: &model,
-                    };
-                    tr.run(&mut sampler, None, &opts);
-                    allocs += alloc_count() - a0;
-                    calls += 1;
-                },
-            );
-            if calls > 0 {
-                eprintln!(
-                    "[trainer_overhead] engine_run: {:.1} allocs/iter (includes per-run \
-                     workspace construction; steady-state is 0 — see train_zero_alloc)",
-                    allocs as f64 / (calls * K) as f64
-                );
-            }
         }
     });
 }

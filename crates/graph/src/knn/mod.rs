@@ -108,27 +108,16 @@ pub fn build_knn_graph(cloud: &PointCloud, cfg: &KnnConfig) -> Graph {
     for (i, nbrs) in lists.iter().enumerate() {
         for &(j, d2) in nbrs {
             let w = 1.0 / (d2.sqrt() + cfg.weight_eps);
-            edges.push((i, j, w));
+            edges.push((i.min(j), i.max(j), w));
         }
     }
-    // from_edges merges duplicates by *summing*; halve weights of mutual
-    // pairs first so merged edges keep the 1/(d+eps) scale.
-    let mut seen = std::collections::HashSet::new();
-    for (i, nbrs) in lists.iter().enumerate() {
-        for &(j, _) in nbrs {
-            let key = if i < j { (i, j) } else { (j, i) };
-            seen.insert(key);
-        }
-    }
-    let mut dedup: std::collections::HashMap<(usize, usize), f64> =
-        std::collections::HashMap::new();
-    for (i, j, w) in edges {
-        let key = if i < j { (i, j) } else { (j, i) };
-        dedup.entry(key).or_insert(w);
-    }
-    let final_edges: Vec<(usize, usize, f64)> =
-        dedup.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-    let g = Graph::from_edges(cloud.len(), &final_edges);
+    // A mutual pair is listed from both ends, and from_edges would *sum*
+    // the two weights. The stable sort keeps each pair's first listing
+    // ahead of its second, and dedup keeps only that one, so every edge
+    // weighs 1/(d+eps) once.
+    edges.sort_by_key(|&(u, v, _)| (u, v));
+    edges.dedup_by_key(|e| (e.0, e.1));
+    let g = Graph::from_edges(cloud.len(), &edges);
     KNN_BUILD_NS.record_duration(t0.elapsed());
     g
 }

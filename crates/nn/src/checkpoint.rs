@@ -250,8 +250,8 @@ mod tests {
             assert_eq!(a.as_slice()[i], b.as_slice()[i]);
         }
         // Derivatives too (the frequencies matter there).
-        let (da, _) = original.forward_with_derivs(&x, &[0, 1]);
-        let (db, _) = restored.forward_with_derivs(&x, &[0, 1]);
+        let da = original.forward_with_derivs(&x, &[0, 1]);
+        let db = restored.forward_with_derivs(&x, &[0, 1]);
         for i in 0..da.jac[0].as_slice().len() {
             assert_eq!(da.jac[0].as_slice()[i], db.jac[0].as_slice()[i]);
         }

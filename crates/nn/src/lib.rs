@@ -33,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use sgm_nn::mlp::{Mlp, MlpConfig};
+//! use sgm_nn::mlp::{BatchDerivatives, Mlp, MlpConfig};
 //! use sgm_nn::activation::Activation;
 //! use sgm_linalg::{Matrix, Rng64};
 //!
@@ -48,10 +48,19 @@
 //! let mut rng = Rng64::new(1);
 //! let net = Mlp::new(&cfg, &mut rng);
 //! let x = Matrix::from_rows(&[&[0.1, 0.2], &[0.3, 0.4]]);
-//! let (out, _cache) = net.forward_with_derivs(&x, &[0, 1]);
+//! // One workspace per batch shape, reused across passes.
+//! let mut ws = net.make_workspace(2, 2);
+//! net.forward_with_derivs_ws(&x, &[0, 1], &mut ws);
+//! let out = ws.derivs();
 //! assert_eq!(out.values.rows(), 2);
 //! assert_eq!(out.jac.len(), 2);   // ∂/∂x, ∂/∂y
 //! assert_eq!(out.hess.len(), 2);  // ∂²/∂x², ∂²/∂y²
+//! // Adjoints of L = Σ y² on the outputs → exact parameter gradients.
+//! let mut adj = BatchDerivatives::zeros_like(out);
+//! adj.values.axpy(2.0, &out.values);
+//! let mut grads = net.zero_gradients();
+//! net.backward_ws(&mut ws, &adj, &mut grads);
+//! assert_eq!(grads.num_entries(), net.num_params());
 //! ```
 
 pub mod activation;
@@ -63,5 +72,5 @@ pub mod optimizer;
 pub use activation::Activation;
 pub use batched::{BatchedAdam, BatchedGradients, BatchedMlp, BatchedWorkspace};
 pub use checkpoint::Checkpoint;
-pub use mlp::{BatchDerivatives, ForwardCache, Gradients, Mlp, MlpConfig};
+pub use mlp::{BatchDerivatives, Gradients, Mlp, MlpConfig};
 pub use optimizer::{Adam, AdamConfig, LrSchedule};

@@ -24,16 +24,6 @@ const MLP_PAR_MIN_ROWS: usize = 64;
 /// which chunking to the pool costs more than it saves.
 const MLP_PAR_WORK: usize = 1 << 16;
 
-/// Copies rows `r0..r1` of `x` into a fresh matrix.
-fn rows_band(x: &Matrix, r0: usize, r1: usize) -> Matrix {
-    debug_assert!(r0 <= r1 && r1 <= x.rows());
-    let cols = x.cols();
-    let mut out = Matrix::zeros(r1 - r0, cols);
-    out.as_mut_slice()
-        .copy_from_slice(&x.as_slice()[r0 * cols..r1 * cols]);
-    out
-}
-
 /// Writes `band` into `dst` starting at row `r0`.
 fn scatter_band(dst: &mut Matrix, r0: usize, band: &Matrix) {
     debug_assert_eq!(dst.cols(), band.cols());
@@ -92,11 +82,12 @@ pub(crate) struct DenseLayer {
     pub(crate) b: Vec<f64>,
 }
 
-/// Values and input derivatives of a batch forward pass.
+/// Values and input derivatives of a batch forward pass, and the adjoints
+/// a loss seeds on them for the backward pass.
 ///
 /// `jac[d]` and `hess[d]` are `B × out` matrices holding `∂y/∂x_{dd[d]}`
 /// and `∂²y/∂x_{dd[d]}²` where `dd` is the `diff_dims` list passed to
-/// [`Mlp::forward_with_derivs`].
+/// [`Mlp::forward_with_derivs_ws`] (see [`MlpWorkspace::derivs`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchDerivatives {
     /// Network outputs, `B × out`.
@@ -145,46 +136,6 @@ impl BatchDerivatives {
         for m in &mut self.hess {
             m.fill(0.0);
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LayerCache {
-    a_in: Matrix,
-    j_in: Vec<Matrix>,
-    h_in: Vec<Matrix>,
-    z: Matrix,
-    zj: Vec<Matrix>,
-    zh: Vec<Matrix>,
-    /// σ', σ'', σ''' at `z`, kept from the forward pass so the backward
-    /// pass never re-evaluates the activation's transcendentals (empty
-    /// for the non-activated last layer).
-    s1: Vec<f64>,
-    s2: Vec<f64>,
-    s3: Vec<f64>,
-    activated: bool,
-}
-
-#[derive(Debug, Clone)]
-struct ChunkCache {
-    row0: usize,
-    layers: Vec<LayerCache>,
-}
-
-/// Opaque forward-pass state consumed by [`Mlp::backward`].
-///
-/// Internally held per batch chunk so the backward pass can fan out over
-/// the same row ranges the forward pass used.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    chunks: Vec<ChunkCache>,
-    batch: usize,
-}
-
-impl ForwardCache {
-    /// Batch size of the pass that produced this cache.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 }
 
@@ -458,57 +409,6 @@ impl Mlp {
         }
     }
 
-    fn encode(&self, x: &Matrix, diff_dims: &[usize]) -> (Matrix, Vec<Matrix>, Vec<Matrix>) {
-        let b = x.rows();
-        let in_dim = self.cfg.input_dim;
-        assert_eq!(x.cols(), in_dim, "input dim mismatch");
-        for &d in diff_dims {
-            assert!(d < in_dim, "diff dim {d} out of range");
-        }
-        let Some(freq) = &self.freq else {
-            // Identity encoding: J is a constant one-hot, H is zero.
-            let mut jac = Vec::with_capacity(diff_dims.len());
-            for &d in diff_dims {
-                let mut j = Matrix::zeros(b, in_dim);
-                for r in 0..b {
-                    j.set(r, d, 1.0);
-                }
-                jac.push(j);
-            }
-            let hess = vec![Matrix::zeros(b, in_dim); diff_dims.len()];
-            return (x.clone(), jac, hess);
-        };
-        let nf = freq.rows();
-        let enc_dim = in_dim + 2 * nf;
-        let mut e = Matrix::zeros(b, enc_dim);
-        let mut jac = vec![Matrix::zeros(b, enc_dim); diff_dims.len()];
-        let mut hess = vec![Matrix::zeros(b, enc_dim); diff_dims.len()];
-        for r in 0..b {
-            let xr = x.row(r);
-            for (c, &xc) in xr.iter().enumerate().take(in_dim) {
-                e.set(r, c, xc);
-            }
-            for (di, &d) in diff_dims.iter().enumerate() {
-                jac[di].set(r, d, 1.0);
-            }
-            for s in 0..nf {
-                let w = freq.row(s);
-                let phase: f64 = w.iter().zip(xr).map(|(a, b)| a * b).sum();
-                let (sn, cs) = phase.sin_cos();
-                e.set(r, in_dim + s, sn);
-                e.set(r, in_dim + nf + s, cs);
-                for (di, &d) in diff_dims.iter().enumerate() {
-                    let wd = w[d];
-                    jac[di].set(r, in_dim + s, wd * cs);
-                    jac[di].set(r, in_dim + nf + s, -wd * sn);
-                    hess[di].set(r, in_dim + s, -wd * wd * sn);
-                    hess[di].set(r, in_dim + nf + s, -wd * wd * cs);
-                }
-            }
-        }
-        (e, jac, hess)
-    }
-
     /// Rough per-call work estimate steering the Auto parallel cutoff.
     fn par_work(&self, batch: usize, nd: usize) -> usize {
         batch
@@ -516,9 +416,10 @@ impl Mlp {
             .saturating_mul(1 + 2 * nd)
     }
 
-    /// Values-only forward body over one row band of the input.
-    fn forward_values_band(&self, x: &Matrix) -> Matrix {
-        let (mut a, _, _) = self.encode(x, &[]);
+    /// Values-only forward body over rows `r0..r1` of the input.
+    fn forward_values_band(&self, x: &Matrix, r0: usize, r1: usize) -> Matrix {
+        let mut a = Matrix::zeros(r1 - r0, self.layers[0].w.cols());
+        self.encode_chunk(x, r0, r1, &[], &mut a, &mut [], &mut []);
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let wt = layer.w.transposed();
@@ -555,7 +456,7 @@ impl Mlp {
                 let ranges = batch_chunks(batch);
                 let bands = pool.par_map_indexed(ranges.len(), 1, |ci| {
                     let (r0, r1) = ranges[ci];
-                    self.forward_values_band(&rows_band(x, r0, r1))
+                    self.forward_values_band(x, r0, r1)
                 });
                 let mut out = Matrix::zeros(batch, self.cfg.output_dim);
                 for ((r0, _), band) in ranges.iter().zip(&bands) {
@@ -563,282 +464,27 @@ impl Mlp {
                 }
                 out
             }
-            None => self.forward_values_band(x),
+            None => self.forward_values_band(x, 0, batch),
         }
     }
 
-    /// Forward body over one row band: returns the band's derivatives and
-    /// layer caches.
-    fn forward_derivs_band(
-        &self,
-        x: &Matrix,
-        diff_dims: &[usize],
-    ) -> (BatchDerivatives, Vec<LayerCache>) {
-        let batch = x.rows();
-        let nd = diff_dims.len();
-        let (mut a, mut j, mut h) = self.encode(x, diff_dims);
-        let last = self.layers.len() - 1;
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let activated = li != last;
-            let wt = layer.w.transposed();
-            let out_w = layer.w.rows();
-            let mut z = Matrix::zeros(batch, out_w);
-            gemm(1.0, &a, &wt, 0.0, &mut z);
-            for r in 0..batch {
-                simd::add_assign(z.row_mut(r), &layer.b);
-            }
-            let mut zj = Vec::with_capacity(nd);
-            let mut zh = Vec::with_capacity(nd);
-            for d in 0..nd {
-                let mut m = Matrix::zeros(batch, out_w);
-                gemm(1.0, &j[d], &wt, 0.0, &mut m);
-                zj.push(m);
-                let mut m = Matrix::zeros(batch, out_w);
-                gemm(1.0, &h[d], &wt, 0.0, &mut m);
-                zh.push(m);
-            }
-            // Activation.
-            let (a_out, j_out, h_out, s1, s2, s3) = if activated {
-                let mut a_out = Matrix::zeros(batch, out_w);
-                let mut j_out = vec![Matrix::zeros(batch, out_w); nd];
-                let mut h_out = vec![Matrix::zeros(batch, out_w); nd];
-                let nel = batch * out_w;
-                // σ values land straight in a_out; derivative combines go
-                // through the SIMD kernels. σ'..σ''' move into the layer
-                // cache so backward reuses them instead of re-running the
-                // transcendentals.
-                let mut s1 = vec![0.0; nel];
-                let mut s2 = vec![0.0; nel];
-                let mut s3 = vec![0.0; nel];
-                eval3_batch(
-                    self.cfg.activation,
-                    z.as_slice(),
-                    a_out.as_mut_slice(),
-                    &mut s1,
-                    &mut s2,
-                    &mut s3,
-                );
-                for d in 0..nd {
-                    simd::act_fwd_jh(
-                        &s1,
-                        &s2,
-                        zj[d].as_slice(),
-                        zh[d].as_slice(),
-                        j_out[d].as_mut_slice(),
-                        h_out[d].as_mut_slice(),
-                    );
-                }
-                (a_out, j_out, h_out, s1, s2, s3)
-            } else {
-                (
-                    z.clone(),
-                    zj.clone(),
-                    zh.clone(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                )
-            };
-            caches.push(LayerCache {
-                a_in: a,
-                j_in: j,
-                h_in: h,
-                z,
-                zj,
-                zh,
-                s1,
-                s2,
-                s3,
-                activated,
-            });
-            a = a_out;
-            j = j_out;
-            h = h_out;
-        }
-        (
-            BatchDerivatives {
-                values: a,
-                jac: j,
-                hess: h,
-            },
-            caches,
-        )
-    }
-
-    /// Forward pass propagating values, Jacobian columns and diagonal
-    /// Hessian columns for the requested input dimensions, returning the
-    /// cache needed by [`Mlp::backward`].
-    ///
-    /// The batch is always processed in chunks whose boundaries depend
-    /// only on the batch size; the [`sgm_par::Parallelism`] setting picks
-    /// who runs each chunk, so results are bit-identical for every thread
-    /// count (serial included).
+    /// One-shot derivative-carrying forward pass: a fresh
+    /// [`Mlp::make_workspace`] + [`Mlp::forward_with_derivs_ws`] returning
+    /// the outputs, for small probe batches and tests. Training reuses
+    /// one workspace instead.
     ///
     /// # Panics
     /// Panics if `x.cols() != input_dim` or a diff dim is out of range.
-    pub fn forward_with_derivs(
-        &self,
-        x: &Matrix,
-        diff_dims: &[usize],
-    ) -> (BatchDerivatives, ForwardCache) {
-        assert_eq!(x.cols(), self.cfg.input_dim, "input dim mismatch");
-        let batch = x.rows();
-        let nd = diff_dims.len();
-        let ranges = batch_chunks(batch);
-        let work = self.par_work(batch, nd);
-        let results: Vec<(BatchDerivatives, Vec<LayerCache>)> =
-            match sgm_par::current().pool(work, MLP_PAR_WORK) {
-                Some(pool) => pool.par_map_indexed(ranges.len(), 1, |ci| {
-                    let (r0, r1) = ranges[ci];
-                    self.forward_derivs_band(&rows_band(x, r0, r1), diff_dims)
-                }),
-                None => ranges
-                    .iter()
-                    .map(|&(r0, r1)| self.forward_derivs_band(&rows_band(x, r0, r1), diff_dims))
-                    .collect(),
-            };
-        let out_dim = self.cfg.output_dim;
-        let mut values = Matrix::zeros(batch, out_dim);
-        let mut jac = vec![Matrix::zeros(batch, out_dim); nd];
-        let mut hess = vec![Matrix::zeros(batch, out_dim); nd];
-        let mut chunks = Vec::with_capacity(ranges.len());
-        for (&(r0, _), (band, layers)) in ranges.iter().zip(results) {
-            scatter_band(&mut values, r0, &band.values);
-            for d in 0..nd {
-                scatter_band(&mut jac[d], r0, &band.jac[d]);
-                scatter_band(&mut hess[d], r0, &band.hess[d]);
-            }
-            chunks.push(ChunkCache { row0: r0, layers });
-        }
-        (
-            BatchDerivatives { values, jac, hess },
-            ForwardCache { chunks, batch },
-        )
-    }
-
-    /// Backward body for one cached chunk: adjoint row bands in, exact
-    /// per-chunk parameter gradients out.
-    fn backward_chunk(&self, chunk: &ChunkCache, adjoints: &BatchDerivatives) -> Gradients {
-        let nd = chunk.layers[0].zj.len();
-        let batch = chunk.layers[0].z.rows();
-        let r0 = chunk.row0;
-        let mut grads = self.zero_gradients();
-        let mut ga = rows_band(&adjoints.values, r0, r0 + batch);
-        let mut gj: Vec<Matrix> = (0..nd)
-            .map(|d| rows_band(&adjoints.jac[d], r0, r0 + batch))
-            .collect();
-        let mut gh: Vec<Matrix> = (0..nd)
-            .map(|d| rows_band(&adjoints.hess[d], r0, r0 + batch))
-            .collect();
-
-        for (li, layer) in self.layers.iter().enumerate().rev() {
-            let lc = &chunk.layers[li];
-            let out_w = layer.w.rows();
-            // Activation adjoints → pre-activation adjoints.
-            let (gz, gzj, gzh) = if lc.activated {
-                let mut gz = Matrix::zeros(batch, out_w);
-                let mut gzj = vec![Matrix::zeros(batch, out_w); nd];
-                let mut gzh = vec![Matrix::zeros(batch, out_w); nd];
-                // gz = ga ⊙ σ', then each derivative dimension accumulates
-                // its adjoint contribution in ascending-d order. σ'..σ'''
-                // come straight from the forward-pass cache.
-                simd::hadamard(ga.as_slice(), &lc.s1, gz.as_mut_slice());
-                for d in 0..nd {
-                    simd::act_bwd_accum(
-                        &lc.s1,
-                        &lc.s2,
-                        &lc.s3,
-                        lc.zj[d].as_slice(),
-                        lc.zh[d].as_slice(),
-                        gj[d].as_slice(),
-                        gh[d].as_slice(),
-                        gz.as_mut_slice(),
-                        gzj[d].as_mut_slice(),
-                        gzh[d].as_mut_slice(),
-                    );
-                }
-                (gz, gzj, gzh)
-            } else {
-                (ga.clone(), gj.clone(), gh.clone())
-            };
-            // Linear adjoints.
-            // gW += gzᵀ a_in + Σ_d (gzjᵀ j_in + gzhᵀ h_in)
-            let gzt = gz.transposed();
-            gemm(1.0, &gzt, &lc.a_in, 1.0, &mut grads.w[li]);
-            for d in 0..nd {
-                let t = gzj[d].transposed();
-                gemm(1.0, &t, &lc.j_in[d], 1.0, &mut grads.w[li]);
-                let t = gzh[d].transposed();
-                gemm(1.0, &t, &lc.h_in[d], 1.0, &mut grads.w[li]);
-            }
-            // gb += column sums of gz (bias enters only the value path),
-            // row-by-row in ascending order.
-            for r in 0..batch {
-                simd::add_assign(&mut grads.b[li], gz.row(r));
-            }
-            if li == 0 {
-                break; // inputs are not trainable
-            }
-            // Propagate to layer inputs: gA = gz W, etc.
-            let mut new_ga = Matrix::zeros(batch, layer.w.cols());
-            gemm(1.0, &gz, &layer.w, 0.0, &mut new_ga);
-            let mut new_gj = Vec::with_capacity(nd);
-            let mut new_gh = Vec::with_capacity(nd);
-            for d in 0..nd {
-                let mut m = Matrix::zeros(batch, layer.w.cols());
-                gemm(1.0, &gzj[d], &layer.w, 0.0, &mut m);
-                new_gj.push(m);
-                let mut m = Matrix::zeros(batch, layer.w.cols());
-                gemm(1.0, &gzh[d], &layer.w, 0.0, &mut m);
-                new_gh.push(m);
-            }
-            ga = new_ga;
-            gj = new_gj;
-            gh = new_gh;
-        }
-        grads
-    }
-
-    /// Backward pass: given adjoints (∂L/∂values, ∂L/∂jac, ∂L/∂hess) on the
-    /// outputs of a [`Mlp::forward_with_derivs`] call, returns exact
-    /// parameter gradients ∂L/∂θ.
-    ///
-    /// Per-chunk gradients are merged in chunk order, so the result is
-    /// bit-identical for every [`sgm_par::Parallelism`] setting.
-    ///
-    /// # Panics
-    /// Panics if adjoint shapes do not match the cached forward pass.
-    pub fn backward(&self, cache: &ForwardCache, adjoints: &BatchDerivatives) -> Gradients {
-        let nd = cache.chunks[0].layers[0].zj.len();
-        assert_eq!(adjoints.jac.len(), nd, "jac adjoint count");
-        assert_eq!(adjoints.hess.len(), nd, "hess adjoint count");
-        assert_eq!(
-            adjoints.values.rows(),
-            cache.batch,
-            "adjoint batch mismatch"
-        );
-        let work = self.par_work(cache.batch, nd);
-        let per_chunk: Vec<Gradients> = match sgm_par::current().pool(work, MLP_PAR_WORK) {
-            Some(pool) => pool.par_map_indexed(cache.chunks.len(), 1, |ci| {
-                self.backward_chunk(&cache.chunks[ci], adjoints)
-            }),
-            None => cache
-                .chunks
-                .iter()
-                .map(|c| self.backward_chunk(c, adjoints))
-                .collect(),
-        };
-        let mut grads = self.zero_gradients();
-        for g in &per_chunk {
-            grads.add_assign(g);
-        }
-        grads
+    pub fn forward_with_derivs(&self, x: &Matrix, diff_dims: &[usize]) -> BatchDerivatives {
+        let mut ws = self.make_workspace(x.rows(), diff_dims.len());
+        self.forward_with_derivs_ws(x, diff_dims, &mut ws);
+        ws.derivs
     }
 }
 
-/// Per-layer buffers of one batch chunk: the forward cache (mirroring
-/// [`LayerCache`]) plus every backward scratch matrix, all preallocated.
+/// Per-layer buffers of one batch chunk: what the forward pass leaves
+/// for the backward pass plus every backward scratch matrix, all
+/// preallocated.
 #[derive(Debug, Clone)]
 struct LayerWs {
     /// Layer input activations, `chunk × in_w` (written by the previous
@@ -884,15 +530,15 @@ struct ChunkWs {
 }
 
 /// Preallocated scratch for repeated derivative-carrying forward/backward
-/// passes over a fixed batch shape — the steady-state allocation-free
-/// training path.
+/// passes over a fixed batch shape — the network's one derivative-carrying
+/// pass, allocation-free in the steady state.
 ///
-/// The chunk layout equals [`batch_chunks`]`(batch)`, i.e. exactly the
-/// layout the allocating [`Mlp::forward_with_derivs`] path uses, so the
-/// workspace path is bit-identical to it for every
-/// [`sgm_par::Parallelism`] setting. Under `Parallelism::Serial` a
-/// forward + backward pair performs **zero** heap allocations; pooled
-/// execution allocates only the small per-task boxes inside `sgm-par`.
+/// The chunk layout is [`batch_chunks`]`(batch)`, a function of the batch
+/// size only, and per-chunk gradients merge in chunk order, so results
+/// are bit-identical for every [`sgm_par::Parallelism`] setting. Under
+/// `Parallelism::Serial` a forward + backward pair performs **zero** heap
+/// allocations; pooled execution allocates only the small per-task boxes
+/// inside `sgm-par`.
 #[derive(Debug, Clone)]
 pub struct MlpWorkspace {
     batch: usize,
@@ -993,8 +639,10 @@ impl Mlp {
         }
     }
 
-    /// Encoder writing straight into the chunk's layer-0 input buffers
-    /// (rows `r0..r1` of `x`) — the allocation-free twin of `encode`.
+    /// The network's one input encoder: encodes rows `r0..r1` of `x` into
+    /// `a` and, per requested dimension, the encoding's Jacobian and
+    /// Hessian-diagonal columns into `jac`/`hess` (empty for the
+    /// values-only [`Mlp::forward`]).
     #[allow(clippy::too_many_arguments)]
     fn encode_chunk(
         &self,
@@ -1050,9 +698,8 @@ impl Mlp {
         }
     }
 
-    /// Forward body for one preallocated chunk; mirrors
-    /// `forward_derivs_band` operation for operation so results stay
-    /// bit-identical to the allocating path.
+    /// Forward body for one preallocated chunk: encoder, then per layer
+    /// one GEMM per value/derivative stream and the activation combine.
     fn forward_chunk_ws(&self, cw: &mut ChunkWs, wt: &[Matrix], x: &Matrix, diff_dims: &[usize]) {
         let nd = diff_dims.len();
         let ChunkWs {
@@ -1093,8 +740,7 @@ impl Mlp {
                 let nxt = &mut rest[0];
                 // σ straight into the next layer's input; σ'..σ''' into
                 // the per-layer cache so backward reuses them. Derivative
-                // combines go through the SIMD kernels (mirrors the
-                // allocating path operation for operation).
+                // combines go through the SIMD kernels.
                 eval3_batch(
                     self.cfg.activation,
                     cur.z.as_slice(),
@@ -1127,9 +773,8 @@ impl Mlp {
     /// Outputs land in [`MlpWorkspace::derivs`]; the per-chunk caches stay
     /// in place for [`Mlp::backward_ws`].
     ///
-    /// Bit-identical to [`Mlp::forward_with_derivs`] for every
-    /// [`sgm_par::Parallelism`] setting, and allocation-free in serial
-    /// mode.
+    /// Bit-identical for every [`sgm_par::Parallelism`] setting, and
+    /// allocation-free in serial mode.
     ///
     /// # Panics
     /// Panics if `x` or `diff_dims` disagree with the workspace shape.
@@ -1168,7 +813,8 @@ impl Mlp {
         }
     }
 
-    /// Backward body for one workspace chunk; mirrors `backward_chunk`.
+    /// Backward body for one workspace chunk: output adjoint bands in,
+    /// exact per-chunk parameter gradients into the chunk's accumulator.
     fn backward_chunk_ws(&self, cw: &mut ChunkWs, adjoints: &BatchDerivatives) {
         let nd = cw.layers[0].zj.len();
         let ChunkWs {
@@ -1315,12 +961,29 @@ mod tests {
         Mlp::new(&cfg, &mut rng)
     }
 
+    /// Forward + backward through one fresh workspace: the outputs, and
+    /// the parameter gradient of the loss whose output adjoints `seed`
+    /// builds from them.
+    fn fwd_bwd(
+        net: &Mlp,
+        x: &Matrix,
+        diff_dims: &[usize],
+        seed: fn(&BatchDerivatives) -> BatchDerivatives,
+    ) -> (BatchDerivatives, Gradients) {
+        let mut ws = net.make_workspace(x.rows(), diff_dims.len());
+        net.forward_with_derivs_ws(x, diff_dims, &mut ws);
+        let adj = seed(ws.derivs());
+        let mut grads = net.zero_gradients();
+        net.backward_ws(&mut ws, &adj, &mut grads);
+        (ws.derivs, grads)
+    }
+
     #[test]
     fn forward_matches_forward_with_derivs() {
         let net = tiny_net(1, false);
         let x = Matrix::from_rows(&[&[0.3, -0.2], &[1.1, 0.4]]);
         let plain = net.forward(&x);
-        let (full, _) = net.forward_with_derivs(&x, &[0, 1]);
+        let full = net.forward_with_derivs(&x, &[0, 1]);
         for i in 0..plain.as_slice().len() {
             assert!((plain.as_slice()[i] - full.values.as_slice()[i]).abs() < 1e-14);
         }
@@ -1331,7 +994,7 @@ mod tests {
         for fourier in [false, true] {
             let net = tiny_net(2, fourier);
             let x = Matrix::from_rows(&[&[0.25, 0.6]]);
-            let (full, _) = net.forward_with_derivs(&x, &[0, 1]);
+            let full = net.forward_with_derivs(&x, &[0, 1]);
             let h = 1e-6;
             for d in 0..2 {
                 let mut xp = x.clone();
@@ -1357,7 +1020,7 @@ mod tests {
         for fourier in [false, true] {
             let net = tiny_net(3, fourier);
             let x = Matrix::from_rows(&[&[-0.4, 0.9]]);
-            let (full, _) = net.forward_with_derivs(&x, &[0, 1]);
+            let full = net.forward_with_derivs(&x, &[0, 1]);
             let h = 1e-4;
             for d in 0..2 {
                 let mut xp = x.clone();
@@ -1382,7 +1045,7 @@ mod tests {
     /// Composite loss touching values, jacobians and hessians:
     /// L = Σ_batch Σ_out (y² + 2·y_x·y_y + y_xx² + 0.5·y_yy)
     fn composite_loss(net: &Mlp, x: &Matrix) -> f64 {
-        let (full, _) = net.forward_with_derivs(x, &[0, 1]);
+        let full = net.forward_with_derivs(x, &[0, 1]);
         let mut l = 0.0;
         let n = full.values.as_slice().len();
         for i in 0..n {
@@ -1414,9 +1077,7 @@ mod tests {
         for fourier in [false, true] {
             let mut net = tiny_net(4, fourier);
             let x = Matrix::from_rows(&[&[0.2, -0.5], &[0.7, 0.1], &[-0.3, 0.8]]);
-            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
-            let adj = composite_adjoints(&full);
-            let grads = net.backward(&cache, &adj);
+            let (_, grads) = fwd_bwd(&net, &x, &[0, 1], composite_adjoints);
             let flat = grads.flat();
 
             let params = net.params();
@@ -1474,9 +1135,7 @@ mod tests {
         let net = tiny_net(7, false);
         let mut g = net.zero_gradients();
         let x = Matrix::from_rows(&[&[0.1, 0.2]]);
-        let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
-        let adj = composite_adjoints(&full);
-        let g1 = net.backward(&cache, &adj);
+        let (_, g1) = fwd_bwd(&net, &x, &[0, 1], composite_adjoints);
         g.add_assign(&g1);
         g.add_assign(&g1);
         g.scale(0.5);
@@ -1492,11 +1151,12 @@ mod tests {
     fn empty_diff_dims_supported() {
         let net = tiny_net(8, false);
         let x = Matrix::from_rows(&[&[0.3, 0.4]]);
-        let (full, cache) = net.forward_with_derivs(&x, &[]);
+        let (full, g) = fwd_bwd(&net, &x, &[], |full| {
+            let mut adj = BatchDerivatives::zeros_like(full);
+            adj.values.set(0, 0, 1.0);
+            adj
+        });
         assert!(full.jac.is_empty());
-        let mut adj = BatchDerivatives::zeros_like(&full);
-        adj.values.set(0, 0, 1.0);
-        let g = net.backward(&cache, &adj);
         assert!(g.l2_norm() > 0.0);
     }
 
@@ -1515,10 +1175,8 @@ mod tests {
                     let run = |p: Parallelism| {
                         sgm_par::with_parallelism(p, || {
                             let v = net.forward(&x);
-                            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
-                            let adj = composite_adjoints(&full);
-                            let g = net.backward(&cache, &adj).flat();
-                            (v, full, g)
+                            let (full, g) = fwd_bwd(&net, &x, &[0, 1], composite_adjoints);
+                            (v, full, g.flat())
                         })
                     };
                     let (v0, f0, g0) = run(Parallelism::Serial);
@@ -1548,18 +1206,18 @@ mod tests {
         }
     }
 
-    /// The preallocated-workspace forward/backward path must be
-    /// bit-identical to the allocating path, for every parallelism
-    /// setting, with and without Fourier features, and across repeated
-    /// reuse of the same workspace.
+    /// One workspace reused over several inputs gives the same bits as a
+    /// fresh workspace per input — no state leaks from one pass into the
+    /// next — for every parallelism setting, with and without Fourier
+    /// features.
     #[test]
-    fn workspace_path_matches_allocating_path() {
+    fn reused_workspace_matches_fresh_workspace() {
         for &tier in sgm_linalg::simd::available_tiers() {
-            sgm_linalg::simd::with_tier(tier, workspace_vs_allocating_body);
+            sgm_linalg::simd::with_tier(tier, reused_vs_fresh_body);
         }
     }
 
-    fn workspace_vs_allocating_body() {
+    fn reused_vs_fresh_body() {
         use sgm_par::Parallelism;
         for fourier in [false, true] {
             let net = tiny_net(17, fourier);
@@ -1573,20 +1231,22 @@ mod tests {
                 sgm_par::with_parallelism(p, || {
                     let mut ws = net.make_workspace(70, 2);
                     for x in &xs {
-                        let (full, cache) = net.forward_with_derivs(x, &[0, 1]);
-                        let adj = composite_adjoints(&full);
-                        let g_ref = net.backward(&cache, &adj).flat();
+                        let (fresh, g_fresh) = fwd_bwd(&net, x, &[0, 1], composite_adjoints);
+                        let g_ref = g_fresh.flat();
 
                         net.forward_with_derivs_ws(x, &[0, 1], &mut ws);
+                        let adj = composite_adjoints(ws.derivs());
                         let got = ws.derivs();
-                        for (a, b) in full.values.as_slice().iter().zip(got.values.as_slice()) {
+                        for (a, b) in fresh.values.as_slice().iter().zip(got.values.as_slice()) {
                             assert_eq!(a.to_bits(), b.to_bits(), "{p:?} values");
                         }
                         for d in 0..2 {
-                            for (a, b) in full.jac[d].as_slice().iter().zip(got.jac[d].as_slice()) {
+                            for (a, b) in fresh.jac[d].as_slice().iter().zip(got.jac[d].as_slice())
+                            {
                                 assert_eq!(a.to_bits(), b.to_bits(), "{p:?} jac[{d}]");
                             }
-                            for (a, b) in full.hess[d].as_slice().iter().zip(got.hess[d].as_slice())
+                            for (a, b) in
+                                fresh.hess[d].as_slice().iter().zip(got.hess[d].as_slice())
                             {
                                 assert_eq!(a.to_bits(), b.to_bits(), "{p:?} hess[{d}]");
                             }
@@ -1603,39 +1263,24 @@ mod tests {
         }
     }
 
-    /// Value-only workspaces (`nd == 0`, the boundary path) agree with
-    /// the allocating path too.
+    /// Value-only workspaces (`nd == 0`, the boundary path) produce the
+    /// same values as the values-only [`Mlp::forward`], bit for bit.
     #[test]
     fn workspace_value_only_path_matches() {
-        let net = tiny_net(23, false);
-        let mut rng = Rng64::new(7);
-        let x = Matrix::gaussian(40, 2, &mut rng);
-        let (full, cache) = net.forward_with_derivs(&x, &[]);
-        let mut adj = BatchDerivatives::zeros_like(&full);
-        for (dst, src) in adj
-            .values
-            .as_mut_slice()
-            .iter_mut()
-            .zip(full.values.as_slice())
-        {
-            *dst = 2.0 * src;
-        }
-        let g_ref = net.backward(&cache, &adj).flat();
-
-        let mut ws = net.make_workspace(40, 0);
-        net.forward_with_derivs_ws(&x, &[], &mut ws);
-        for (a, b) in full
-            .values
-            .as_slice()
-            .iter()
-            .zip(ws.derivs().values.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "values");
-        }
-        let mut grads = net.zero_gradients();
-        net.backward_ws(&mut ws, &adj, &mut grads);
-        for (a, b) in g_ref.iter().zip(&grads.flat()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "grads");
+        for fourier in [false, true] {
+            let net = tiny_net(23, fourier);
+            let mut rng = Rng64::new(7);
+            let x = Matrix::gaussian(40, 2, &mut rng);
+            let mut ws = net.make_workspace(40, 0);
+            net.forward_with_derivs_ws(&x, &[], &mut ws);
+            for (a, b) in net
+                .forward(&x)
+                .as_slice()
+                .iter()
+                .zip(ws.derivs().values.as_slice())
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "fourier={fourier} values");
+            }
         }
     }
 

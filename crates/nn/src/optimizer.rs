@@ -195,14 +195,18 @@ mod tests {
                 / n as f64
         };
         let initial = loss_of(&net);
+        let mut ws = net.make_workspace(n, 0);
+        let mut adj = BatchDerivatives::zeros(n, 1, 0);
+        let mut g = net.zero_gradients();
         for _ in 0..400 {
-            let (full, cache) = net.forward_with_derivs(&x, &[]);
-            let mut adj = BatchDerivatives::zeros_like(&full);
+            net.forward_with_derivs_ws(&x, &[], &mut ws);
+            let full = ws.derivs();
             for (i, &t) in targets.iter().enumerate().take(n) {
                 let d = 2.0 * (full.values.get(i, 0) - t) / n as f64;
                 adj.values.set(i, 0, d);
             }
-            let g = net.backward(&cache, &adj);
+            g.zero();
+            net.backward_ws(&mut ws, &adj, &mut g);
             opt.step(&mut net, &g);
         }
         let fin = loss_of(&net);

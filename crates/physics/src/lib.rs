@@ -16,11 +16,12 @@
 //!   network quantity it reads (values / first / second derivatives), so
 //!   the `sgm-nn` backward pass yields exact parameter gradients.
 //! * [`problem`] — bundles a PDE, a training set (interior + boundary
-//!   clouds) and loss weights; computes batch losses, gradients and
+//!   clouds) and loss weights; computes gradient-free batch losses and
 //!   per-sample loss probes (what importance samplers consume).
 //! * [`model`] — the `sgm-train` [`sgm_train::LossModel`] implementation
 //!   ([`PinnModel`]) that plugs a problem into the staged training
-//!   engine with preallocated workspaces. The training loop itself
+//!   engine with preallocated workspaces; the one place losses and
+//!   their parameter gradients are computed. The training loop itself
 //!   lives in `sgm-train`; this crate only describes the objective.
 //! * [`validate`] — reference grids and relative-L2 validation errors
 //!   (the metric reported in the paper's tables), usable as

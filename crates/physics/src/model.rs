@@ -29,6 +29,62 @@ impl<'a> PinnModel<'a> {
     pub fn new(problem: &'a Problem, data: &'a TrainSet) -> Self {
         PinnModel { problem, data }
     }
+
+    /// Interior PDE term of one batch: the residuals of `derivs` at the
+    /// batch rows `xi` into `resid`, the adjoint seeds `2 w_k r_k / bi`
+    /// into `factors`, and through the PDE's chain rule the adjoints into
+    /// `adj`. Returns the weighted mean squared residual.
+    fn interior_term(
+        &self,
+        xi: &Matrix,
+        derivs: &BatchDerivatives,
+        resid: &mut Matrix,
+        factors: &mut Matrix,
+        adj: &mut BatchDerivatives,
+    ) -> f64 {
+        self.problem.pde.residuals_into(xi, derivs, resid);
+        let bi = xi.rows();
+        let nr = self.problem.pde.num_residuals();
+        let inv_b = 1.0 / bi as f64;
+        let mut total = 0.0;
+        for i in 0..bi {
+            for k in 0..nr {
+                let w = self.problem.residual_weights[k];
+                let rv = resid.get(i, k);
+                total += w * rv * rv * inv_b;
+                factors.set(i, k, 2.0 * w * rv * inv_b);
+            }
+        }
+        adj.zero();
+        self.problem
+            .pde
+            .accumulate_adjoints(xi, derivs, factors, adj);
+        total
+    }
+
+    /// Dirichlet term of one batch: the misfit of the network `values` at
+    /// boundary points `bidx` against their targets (`NaN` targets are
+    /// unconstrained), with the value adjoints into `adj`. Returns the
+    /// weighted mean squared misfit.
+    fn boundary_term(&self, bidx: &[usize], values: &Matrix, adj: &mut BatchDerivatives) -> f64 {
+        let o = values.cols();
+        let inv_b = 1.0 / bidx.len() as f64;
+        adj.zero();
+        let mut total = 0.0;
+        for (row, &i) in bidx.iter().enumerate() {
+            for k in 0..o {
+                let t = self.data.boundary_targets.get(i, k);
+                if t.is_nan() {
+                    continue;
+                }
+                let r = values.get(row, k) - t;
+                total += self.problem.bc_weight * r * r * inv_b;
+                adj.values
+                    .set(row, k, 2.0 * self.problem.bc_weight * r * inv_b);
+            }
+        }
+        total
+    }
 }
 
 /// Preallocated per-run scratch for [`PinnModel`]: interior and boundary
@@ -125,62 +181,22 @@ impl LossModel for PinnModel<'_> {
 
     fn loss_and_grad(&self, net: &Mlp, ws: &mut dyn ModelWorkspace, grads: &mut Gradients) -> f64 {
         let ws = PinnWorkspace::of(ws);
-        let mut total = 0.0;
         // Interior PDE term.
         net.forward_with_derivs_ws(&ws.xi, &ws.diff_dims, &mut ws.nni);
-        {
-            let PinnWorkspace {
-                nni,
-                xi,
-                resid,
-                factors,
-                adj_i,
-                ..
-            } = &mut *ws;
-            let d = nni.derivs();
-            self.problem.pde.residuals_into(xi, d, resid);
-            let bi = xi.rows();
-            let nr = self.problem.pde.num_residuals();
-            let inv_b = 1.0 / bi as f64;
-            for i in 0..bi {
-                for k in 0..nr {
-                    let w = self.problem.residual_weights[k];
-                    let rv = resid.get(i, k);
-                    total += w * rv * rv * inv_b;
-                    factors.set(i, k, 2.0 * w * rv * inv_b);
-                }
-            }
-            adj_i.zero();
-            self.problem.pde.accumulate_adjoints(xi, d, factors, adj_i);
-        }
+        let mut total = self.interior_term(
+            &ws.xi,
+            ws.nni.derivs(),
+            &mut ws.resid,
+            &mut ws.factors,
+            &mut ws.adj_i,
+        );
         net.backward_ws(&mut ws.nni, &ws.adj_i, grads);
 
         // Boundary (Dirichlet) term, sharing the same gradient
         // accumulator.
         if ws.bb > 0 {
             net.forward_with_derivs_ws(&ws.xb, &[], &mut ws.nnb);
-            {
-                let PinnWorkspace {
-                    nnb, adj_b, bidx, ..
-                } = &mut *ws;
-                let vals = &nnb.derivs().values;
-                let o = vals.cols();
-                let inv_b = 1.0 / bidx.len() as f64;
-                adj_b.zero();
-                for (row, &i) in bidx.iter().enumerate() {
-                    for k in 0..o {
-                        let t = self.data.boundary_targets.get(i, k);
-                        if t.is_nan() {
-                            continue;
-                        }
-                        let r = vals.get(row, k) - t;
-                        total += self.problem.bc_weight * r * r * inv_b;
-                        adj_b
-                            .values
-                            .set(row, k, 2.0 * self.problem.bc_weight * r * inv_b);
-                    }
-                }
-            }
+            total += self.boundary_term(&ws.bidx, &ws.nnb.derivs().values, &mut ws.adj_b);
             net.backward_ws(&mut ws.nnb, &ws.adj_b, grads);
         }
         total
@@ -252,12 +268,11 @@ impl LossModel for PinnModel<'_> {
 
 /// The staged halves of [`LossModel::loss_and_grad`], exposed so the
 /// lockstep runner (`sgm_train::multi`) can route the network forward
-/// and backward passes through the batched kernels. The adjoint
-/// arithmetic here is byte-for-byte the middle of `loss_and_grad`,
-/// reading from the passed derivatives instead of the internal network
-/// workspace — for bit-identical derivative inputs it produces
-/// bit-identical adjoints, which is what the lockstep determinism
-/// contract rests on.
+/// and backward passes through the batched kernels. Both halves run the
+/// same `interior_term` / `boundary_term` as `loss_and_grad`, reading
+/// the passed derivatives instead of the internal network workspace —
+/// for bit-identical derivative inputs they produce bit-identical
+/// adjoints, which is what the lockstep determinism contract rests on.
 impl BatchedLossModel for PinnModel<'_> {
     fn diff_dims(&self) -> Vec<usize> {
         self.problem.pde.diff_dims()
@@ -279,27 +294,7 @@ impl BatchedLossModel for PinnModel<'_> {
         adj: &mut BatchDerivatives,
     ) -> f64 {
         let ws = PinnWorkspace::of(ws);
-        let PinnWorkspace {
-            xi, resid, factors, ..
-        } = &mut *ws;
-        self.problem.pde.residuals_into(xi, derivs, resid);
-        let bi = xi.rows();
-        let nr = self.problem.pde.num_residuals();
-        let inv_b = 1.0 / bi as f64;
-        let mut total = 0.0;
-        for i in 0..bi {
-            for k in 0..nr {
-                let w = self.problem.residual_weights[k];
-                let rv = resid.get(i, k);
-                total += w * rv * rv * inv_b;
-                factors.set(i, k, 2.0 * w * rv * inv_b);
-            }
-        }
-        adj.zero();
-        self.problem
-            .pde
-            .accumulate_adjoints(xi, derivs, factors, adj);
-        total
+        self.interior_term(&ws.xi, derivs, &mut ws.resid, &mut ws.factors, adj)
     }
 
     fn boundary_adjoints(
@@ -308,24 +303,7 @@ impl BatchedLossModel for PinnModel<'_> {
         values: &Matrix,
         adj: &mut BatchDerivatives,
     ) -> f64 {
-        let ws = PinnWorkspace::of(ws);
-        let o = values.cols();
-        let inv_b = 1.0 / ws.bidx.len() as f64;
-        adj.zero();
-        let mut total = 0.0;
-        for (row, &i) in ws.bidx.iter().enumerate() {
-            for k in 0..o {
-                let t = self.data.boundary_targets.get(i, k);
-                if t.is_nan() {
-                    continue;
-                }
-                let r = values.get(row, k) - t;
-                total += self.problem.bc_weight * r * r * inv_b;
-                adj.values
-                    .set(row, k, 2.0 * self.problem.bc_weight * r * inv_b);
-            }
-        }
-        total
+        self.boundary_term(&PinnWorkspace::of(ws).bidx, values, adj)
     }
 }
 
@@ -339,7 +317,7 @@ mod tests {
     use sgm_nn::activation::Activation;
     use sgm_nn::mlp::MlpConfig;
     use sgm_nn::optimizer::{AdamConfig, LrSchedule};
-    use sgm_train::{Sampler, TrainOptions, Trainer, UniformSampler};
+    use sgm_train::{TrainOptions, Trainer, UniformSampler};
 
     fn poisson_setup(seed: u64) -> (Mlp, Problem, TrainSet, ValidationSet) {
         let pde = Pde::Poisson(PoissonConfig {
@@ -466,42 +444,6 @@ mod tests {
             result.total_seconds,
             result.train_seconds + result.record_seconds
         );
-    }
-
-    /// The workspace-based `loss_and_grad` path must agree with the
-    /// original allocating `interior_loss_and_grads` +
-    /// `boundary_loss_and_grads` composition.
-    #[test]
-    fn loss_and_grad_matches_allocating_composition() {
-        let (net, problem, data, _val) = poisson_setup(13);
-        let model = PinnModel::new(&problem, &data);
-        let mut rng = Rng64::new(77);
-        let mut sampler = UniformSampler::new(data.num_interior());
-        let mut idx = Vec::new();
-        sampler.fill_batch(32, &mut idx, &mut rng);
-        let bidx: Vec<usize> = (0..16).map(|_| rng.below(data.num_boundary())).collect();
-
-        let x = Problem::gather(&data.interior, &idx);
-        let (li, mut g_ref, _per) = problem.interior_loss_and_grads(&net, &x);
-        let (lb, gb) = problem.boundary_loss_and_grads(&net, &data, &bidx);
-        g_ref.add_assign(&gb);
-        let total_ref = li + lb;
-
-        let mut ws = model.make_workspace(&net, idx.len(), bidx.len());
-        model.gather(&idx, &bidx, &mut *ws);
-        let mut grads = net.zero_gradients();
-        let total = model.loss_and_grad(&net, &mut *ws, &mut grads);
-
-        assert!(
-            (total - total_ref).abs() <= 1e-12 * total_ref.abs(),
-            "loss mismatch: {total} vs {total_ref}"
-        );
-        for (a, b) in grads.flat().iter().zip(&g_ref.flat()) {
-            assert!(
-                (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
-                "grad mismatch: {a} vs {b}"
-            );
-        }
     }
 
     /// `batch_loss` (the record-path evaluation) equals the training

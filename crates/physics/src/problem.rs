@@ -4,7 +4,7 @@ use crate::pde::Pde;
 use sgm_graph::points::PointCloud;
 use sgm_linalg::dense::Matrix;
 use sgm_nn::batched::BatchedMlp;
-use sgm_nn::mlp::{BatchDerivatives, Gradients, Mlp};
+use sgm_nn::mlp::{BatchDerivatives, Mlp};
 
 /// Smallest probe batch that [`Problem::sample_losses_at`] routes
 /// through the lane-replicated batched fast path. Below this the
@@ -105,64 +105,6 @@ impl Problem {
         total
     }
 
-    /// Interior PDE loss and parameter gradients for a batch `x`.
-    /// Returns `(total weighted loss, gradients, per-sample losses)` where
-    /// the per-sample loss is `Σ_k w_k r_k²` (the quantity importance
-    /// samplers rank by).
-    pub fn interior_loss_and_grads(&self, net: &Mlp, x: &Matrix) -> (f64, Gradients, Vec<f64>) {
-        let b = x.rows();
-        let (d, cache) = net.forward_with_derivs(x, &self.pde.diff_dims());
-        let r = self.pde.residuals(x, &d);
-        let nr = self.pde.num_residuals();
-        let mut per_sample = vec![0.0; b];
-        let mut factors = Matrix::zeros(b, nr);
-        let inv_b = 1.0 / b as f64;
-        let mut total = 0.0;
-        for (i, ps) in per_sample.iter_mut().enumerate() {
-            for k in 0..nr {
-                let w = self.residual_weights[k];
-                let rv = r.get(i, k);
-                *ps += w * rv * rv;
-                total += w * rv * rv * inv_b;
-                factors.set(i, k, 2.0 * w * rv * inv_b);
-            }
-        }
-        let mut adj = BatchDerivatives::zeros_like(&d);
-        self.pde.accumulate_adjoints(x, &d, &factors, &mut adj);
-        let grads = net.backward(&cache, &adj);
-        (total, grads, per_sample)
-    }
-
-    /// Boundary (Dirichlet) loss and gradients for batch rows `idx` of the
-    /// training set's boundary cloud.
-    pub fn boundary_loss_and_grads(
-        &self,
-        net: &Mlp,
-        data: &TrainSet,
-        idx: &[usize],
-    ) -> (f64, Gradients) {
-        let x = Self::gather(&data.boundary, idx);
-        let b = x.rows();
-        let (d, cache) = net.forward_with_derivs(&x, &[]);
-        let o = d.values.cols();
-        let mut adj = BatchDerivatives::zeros_like(&d);
-        let inv_b = 1.0 / b.max(1) as f64;
-        let mut total = 0.0;
-        for (row, &i) in idx.iter().enumerate() {
-            for k in 0..o {
-                let t = data.boundary_targets.get(i, k);
-                if t.is_nan() {
-                    continue;
-                }
-                let r = d.values.get(row, k) - t;
-                total += self.bc_weight * r * r * inv_b;
-                adj.values.set(row, k, 2.0 * self.bc_weight * r * inv_b);
-            }
-        }
-        let grads = net.backward(&cache, &adj);
-        (total, grads)
-    }
-
     /// Per-sample interior losses for arbitrary indices — the **loss
     /// probe** importance samplers call on small subsets (no gradients,
     /// values + derivatives forward pass only).
@@ -191,7 +133,7 @@ impl Problem {
         if x.rows() >= PROBE_FUSE_MIN_ROWS {
             return self.sample_losses_fused(net, x);
         }
-        let (d, _cache) = net.forward_with_derivs(x, &self.pde.diff_dims());
+        let d = net.forward_with_derivs(x, &self.pde.diff_dims());
         let r = self.pde.residuals(x, &d);
         self.weighted_row_losses(&r, x.rows())
     }
@@ -261,10 +203,12 @@ impl Problem {
 mod tests {
     use super::*;
     use crate::geometry::{Cavity, FillStrategy};
+    use crate::model::PinnModel;
     use crate::pde::{NsConfig, PoissonConfig};
     use sgm_linalg::rng::Rng64;
     use sgm_nn::activation::Activation;
-    use sgm_nn::mlp::MlpConfig;
+    use sgm_nn::mlp::{Gradients, MlpConfig};
+    use sgm_train::LossModel;
 
     fn poisson_problem() -> Problem {
         Problem::new(Pde::Poisson(PoissonConfig {
@@ -303,63 +247,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interior_loss_grad_matches_finite_difference() {
-        let prob = poisson_problem();
-        let mut net = small_net(1, 1);
-        let x = Matrix::from_rows(&[&[0.3, 0.4], &[0.8, 0.2]]);
-        let (_l0, grads, _ps) = prob.interior_loss_and_grads(&net, &x);
-        let flat = grads.flat();
-        let params = net.params();
-        let h = 1e-6;
-        for &pi in &[0usize, 5, params.len() / 2, params.len() - 1] {
-            let mut p = params.clone();
-            p[pi] += h;
-            net.set_params(&p);
-            let (lp, _, _) = prob.interior_loss_and_grads(&net, &x);
-            p[pi] -= 2.0 * h;
-            net.set_params(&p);
-            let (lm, _, _) = prob.interior_loss_and_grads(&net, &x);
-            net.set_params(&params);
-            let fd = (lp - lm) / (2.0 * h);
-            assert!(
-                (flat[pi] - fd).abs() < 1e-5 * (1.0 + fd.abs()),
-                "param {pi}: {} vs {fd}",
-                flat[pi]
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_loss_grad_matches_finite_difference() {
-        let prob = poisson_problem();
-        let mut net = small_net(1, 2);
-        let data = TrainSet {
-            interior: sgm_graph::points::PointCloud::from_flat(2, vec![0.5, 0.5]),
-            boundary: sgm_graph::points::PointCloud::from_flat(2, vec![0.0, 0.3, 1.0, 0.6]),
-            boundary_targets: Matrix::from_rows(&[&[0.0], &[0.5]]),
-        };
-        let idx = [0usize, 1];
-        let (_l, grads) = prob.boundary_loss_and_grads(&net, &data, &idx);
-        let flat = grads.flat();
-        let params = net.params();
-        let h = 1e-6;
-        for &pi in &[0usize, 7, params.len() - 1] {
-            let mut p = params.clone();
-            p[pi] += h;
-            net.set_params(&p);
-            let (lp, _) = prob.boundary_loss_and_grads(&net, &data, &idx);
-            p[pi] -= 2.0 * h;
-            net.set_params(&p);
-            let (lm, _) = prob.boundary_loss_and_grads(&net, &data, &idx);
-            net.set_params(&params);
-            let fd = (lp - lm) / (2.0 * h);
-            assert!(
-                (flat[pi] - fd).abs() < 1e-5 * (1.0 + fd.abs()),
-                "param {pi}: {} vs {fd}",
-                flat[pi]
-            );
-        }
+    /// `PinnModel::loss_and_grad` over interior rows `idx` and boundary
+    /// rows `bidx`: the training loss and its gradient.
+    fn train_loss(
+        prob: &Problem,
+        data: &TrainSet,
+        net: &Mlp,
+        idx: &[usize],
+        bidx: &[usize],
+    ) -> (f64, Gradients) {
+        let model = PinnModel::new(prob, data);
+        let mut ws = model.make_workspace(net, idx.len(), bidx.len());
+        model.gather(idx, bidx, &mut *ws);
+        let mut grads = net.zero_gradients();
+        let loss = model.loss_and_grad(net, &mut *ws, &mut grads);
+        (loss, grads)
     }
 
     #[test]
@@ -378,7 +280,8 @@ mod tests {
             boundary: sgm_graph::points::PointCloud::from_flat(2, vec![0.2, 0.9]),
             boundary_targets: tgt,
         };
-        let (l, g) = prob.boundary_loss_and_grads(&net, &data, &[0]);
+        // An empty interior batch leaves only the boundary term.
+        let (l, g) = train_loss(&prob, &data, &net, &[], &[0]);
         assert_eq!(l, 0.0);
         assert_eq!(g.l2_norm(), 0.0);
     }
@@ -387,8 +290,14 @@ mod tests {
     fn per_sample_losses_sum_to_total() {
         let prob = poisson_problem();
         let net = small_net(1, 3);
-        let x = Matrix::from_rows(&[&[0.1, 0.9], &[0.4, 0.4], &[0.7, 0.3]]);
-        let (total, _, per) = prob.interior_loss_and_grads(&net, &x);
+        let data = TrainSet {
+            interior: PointCloud::from_flat(2, vec![0.1, 0.9, 0.4, 0.4, 0.7, 0.3]),
+            boundary: PointCloud::from_flat(2, vec![0.0, 0.0]),
+            boundary_targets: Matrix::zeros(1, 1),
+        };
+        let idx = [0usize, 1, 2];
+        let (total, _) = train_loss(&prob, &data, &net, &idx, &[]);
+        let per = prob.interior_sample_losses(&net, &data, &idx);
         let mean: f64 = per.iter().sum::<f64>() / per.len() as f64;
         assert!((total - mean).abs() < 1e-12);
     }
@@ -400,10 +309,10 @@ mod tests {
         let data = cavity_data(5, 1);
         let idx = [3usize, 10, 20];
         let probe = prob.interior_sample_losses(&net, &data, &idx);
-        let x = Problem::gather(&data.interior, &idx);
-        let (_t, _g, per) = prob.interior_loss_and_grads(&net, &x);
         for i in 0..3 {
-            assert!((probe[i] - per[i]).abs() < 1e-12);
+            // The training loss of a one-row batch is that row's loss.
+            let (per, _) = train_loss(&prob, &data, &net, &idx[i..=i], &[]);
+            assert!((probe[i] - per).abs() < 1e-12);
         }
     }
 
@@ -418,9 +327,9 @@ mod tests {
     }
 
     /// The fused (lane-replicated `BatchedMlp`) probe path must return
-    /// the same bits as the sequential forward on every available SIMD
-    /// tier, including batch sizes that do not divide evenly across the
-    /// 8 lanes.
+    /// the same bits as the solo workspace forward pass on every
+    /// available SIMD tier, including batch sizes that do not divide
+    /// evenly across the 8 lanes.
     #[test]
     fn fused_probe_matches_sequential_bitwise() {
         use sgm_linalg::simd;
@@ -445,7 +354,7 @@ mod tests {
                 for &t in simd::available_tiers() {
                     let fused = simd::with_tier(t, || prob.sample_losses_fused(net, &x));
                     let seq = simd::with_tier(t, || {
-                        let (d, _cache) = net.forward_with_derivs(&x, &prob.pde.diff_dims());
+                        let d = net.forward_with_derivs(&x, &prob.pde.diff_dims());
                         let r = prob.pde.residuals(&x, &d);
                         prob.weighted_row_losses(&r, rows)
                     });

@@ -122,19 +122,24 @@ fn tape_grad(net: &Mlp, cfg: &MlpConfig) -> Vec<f64> {
     total.grad(&pvars).iter().map(Var::value).collect()
 }
 
-/// The production path: batched forward-with-derivs + hand-derived
-/// adjoint seeding + the workspace backward pass.
+/// The production path: the workspace forward-with-derivs pass +
+/// hand-derived adjoint seeding + the workspace backward pass, as the
+/// training loop runs them.
 fn production_grad(net: &Mlp) -> Vec<f64> {
     let rows: Vec<&[f64]> = SAMPLES.iter().map(|s| &s[..]).collect();
     let x = Matrix::from_rows(&rows);
-    let (full, cache) = net.forward_with_derivs(&x, &[0]);
-    let mut adj = BatchDerivatives::zeros_like(&full);
+    let mut ws = net.make_workspace(SAMPLES.len(), 1);
+    net.forward_with_derivs_ws(&x, &[0], &mut ws);
+    let full = ws.derivs();
+    let mut adj = BatchDerivatives::zeros_like(full);
     for i in 0..SAMPLES.len() {
         adj.values.set(i, 0, 2.0 * full.values.get(i, 0));
         adj.jac[0].set(i, 0, 2.0 * full.jac[0].get(i, 0));
         adj.hess[0].set(i, 0, 2.0 * full.hess[0].get(i, 0));
     }
-    net.backward(&cache, &adj).flat()
+    let mut grads = net.zero_gradients();
+    net.backward_ws(&mut ws, &adj, &mut grads);
+    grads.flat()
 }
 
 /// All four paths agree on the second-derivative loss, for every

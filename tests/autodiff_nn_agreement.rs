@@ -85,7 +85,7 @@ fn batched_derivs_match_dual_oracle() {
         let mut rng = Rng64::new(seed);
         let net = Mlp::new(&cfg, &mut rng);
         let x = Matrix::from_rows(&[&[x0, x1]]);
-        let (full, _) = net.forward_with_derivs(&x, &[0, 1]);
+        let full = net.forward_with_derivs(&x, &[0, 1]);
         for d in 0..2 {
             for o in 0..2 {
                 let oracle = dual2_eval(&net, &cfg, &[x0, x1], d, o);
@@ -171,14 +171,18 @@ fn parameter_gradients_match_tape_for_pinn_loss() {
 
     // Fast path.
     let x = Matrix::from_rows(&[&samples[0][..], &samples[1][..]]);
-    let (full, cache) = net.forward_with_derivs(&x, &[0]);
-    let mut adj = BatchDerivatives::zeros_like(&full);
+    let mut ws = net.make_workspace(2, 1);
+    net.forward_with_derivs_ws(&x, &[0], &mut ws);
+    let full = ws.derivs();
+    let mut adj = BatchDerivatives::zeros_like(full);
     for i in 0..2 {
         adj.values.set(i, 0, 2.0 * full.values.get(i, 0));
         adj.jac[0].set(i, 0, 2.0 * full.jac[0].get(i, 0));
         adj.hess[0].set(i, 0, 2.0 * full.hess[0].get(i, 0));
     }
-    let grads = net.backward(&cache, &adj).flat();
+    let mut g = net.zero_gradients();
+    net.backward_ws(&mut ws, &adj, &mut g);
+    let grads = g.flat();
 
     // Tape oracle (third-order differentiation under the hood).
     let (loss, pvars) = tape_loss(&net, &cfg, &samples);
@@ -208,7 +212,7 @@ fn forward_paths_agree_on_batches() {
     let net = Mlp::new(&cfg, &mut rng);
     let x = Matrix::gaussian(17, 3, &mut rng);
     let a = net.forward(&x);
-    let (b, _) = net.forward_with_derivs(&x, &[0, 1]);
+    let b = net.forward_with_derivs(&x, &[0, 1]);
     for i in 0..a.as_slice().len() {
         assert!((a.as_slice()[i] - b.values.as_slice()[i]).abs() < 1e-13);
     }

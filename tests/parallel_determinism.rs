@@ -82,7 +82,9 @@ fn mlp_gradients_bit_identical_across_thread_counts() {
         let runs = simd::with_tier(tier, || {
             run_per_thread_count(|| {
                 let values = net.forward(&x);
-                let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+                let mut ws = net.make_workspace(300, 2);
+                net.forward_with_derivs_ws(&x, &[0, 1], &mut ws);
+                let full = ws.derivs().clone();
                 let mut adj = BatchDerivatives::zeros_like(&full);
                 for (dst, src) in adj
                     .values
@@ -101,7 +103,8 @@ fn mlp_gradients_bit_identical_across_thread_counts() {
                         *dst = 2.0 * src;
                     }
                 }
-                let grads = net.backward(&cache, &adj);
+                let mut grads = net.zero_gradients();
+                net.backward_ws(&mut ws, &adj, &mut grads);
                 let mut flat = values.as_slice().to_vec();
                 for d in 0..2 {
                     flat.extend_from_slice(full.jac[d].as_slice());
@@ -191,7 +194,9 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
         let solo: Vec<f64> = simd::with_tier(tier, || {
             let mut flat = Vec::new();
             for (net, x) in nets.iter().zip(&xs) {
-                let (d, cache) = net.forward_with_derivs(x, &[0, 1]);
+                let mut ws = net.make_workspace(300, 2);
+                net.forward_with_derivs_ws(x, &[0, 1], &mut ws);
+                let d = ws.derivs().clone();
                 let mut adj = BatchDerivatives::zeros_like(&d);
                 for (dst, src) in adj
                     .values
@@ -210,7 +215,8 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
                         *dst = 2.0 * src;
                     }
                 }
-                let g = net.backward(&cache, &adj);
+                let mut g = net.zero_gradients();
+                net.backward_ws(&mut ws, &adj, &mut g);
                 batched_flat(&d, &g.flat(), &mut flat);
             }
             flat
@@ -222,13 +228,14 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
     }
 }
 
-/// Brute and HNSW kNN graphs (edges, weights) and the approximate
-/// effective resistances are bit-identical for every thread count.
+/// Brute, grid (the production strategy) and HNSW kNN graphs (edges,
+/// weights) and the approximate effective resistances are bit-identical
+/// for every thread count.
 #[test]
 fn knn_graph_and_er_bit_identical_across_thread_counts() {
     let mut rng = Rng64::new(902);
     let pts = PointCloud::uniform_box(600, 2, 0.0, 1.0, &mut rng);
-    for strategy in [KnnStrategy::Brute, KnnStrategy::Hnsw] {
+    for strategy in [KnnStrategy::Brute, KnnStrategy::Grid, KnnStrategy::Hnsw] {
         for &tier in simd::available_tiers() {
             let runs = simd::with_tier(tier, || {
                 run_per_thread_count(|| {
