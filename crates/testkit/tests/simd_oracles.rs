@@ -15,6 +15,12 @@
 //!    relative bound is unattainable when adversarial mixed-sign inputs
 //!    cancel catastrophically, yet the absolute FMA error still scales
 //!    with the term magnitudes, not the result).
+//! 3. **Exact vector-tier arithmetic** — each AVX2 and AVX-512 result
+//!    must equal, bit for bit, a scalar `f64::mul_add` replay of that
+//!    tier's operation chain (the strided partials and lane fold of the
+//!    reductions, the single-rounding FMAs of the elementwise and GEMM
+//!    kernels). This pins each tier's rounding, so a rewrite of a vector
+//!    kernel that moves one bit fails here, not only past `1e-12`.
 //!
 //! Sizes sweep the adversarial lane boundaries (0, 1, lane−1, lane,
 //! lane+1, large odd); values sweep subnormals, signed zeros and wildly
@@ -60,6 +66,50 @@ fn shrink_pair(case: &(Vec<f64>, Vec<f64>)) -> Vec<(Vec<f64>, Vec<f64>)> {
     ]
 }
 
+/// Lanes per vector of a vector tier.
+fn width(t: SimdTier) -> usize {
+    match t {
+        SimdTier::Avx2 => 4,
+        SimdTier::Avx512 => 8,
+        SimdTier::Scalar => unreachable!("the scalar tier has no vector width"),
+    }
+}
+
+/// Replays a vector tier's strided reduction of `n` terms `x·y`: over
+/// the whole vectors lane `i % W` accumulates `fma(x, y, acc)`, the
+/// lanes fold as the tier folds them (AVX-512 first adds lanes `l` and
+/// `l + 4`, then `(l0 + l2) + (l1 + l3)`), and the remaining terms add
+/// sequentially with two roundings each.
+fn vector_reduce(t: SimdTier, n: usize, term: impl Fn(usize) -> (f64, f64)) -> f64 {
+    let w = width(t);
+    let full = n - n % w;
+    let mut acc = [0.0f64; 8];
+    for i in 0..full {
+        let (x, y) = term(i);
+        acc[i % w] = x.mul_add(y, acc[i % w]);
+    }
+    if w == 8 {
+        for l in 0..4 {
+            acc[l] += acc[l + 4];
+        }
+    }
+    let mut s = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+    for i in full..n {
+        let (x, y) = term(i);
+        s += x * y;
+    }
+    s
+}
+
+/// Bit-equality of a vector-tier result with its exact replay.
+fn exact(got: f64, want: f64) -> Result<(), String> {
+    if got.to_bits() == want.to_bits() {
+        Ok(())
+    } else {
+        Err(format!("{got} vs exact replay {want}"))
+    }
+}
+
 /// `|got - want| ≤ 1e-12 · (mag + tiny)` with `mag` the term-magnitude
 /// sum of the reduction — the cancellation-safe divergence bound.
 fn close(got: f64, want: f64, mag: f64) -> Result<(), String> {
@@ -89,6 +139,10 @@ fn dot_matches_oracle_and_tiers_agree() {
             for &t in simd::available_tiers() {
                 let got = simd::with_tier(t, || simd::dot(a, b));
                 close(got, want, mag).map_err(|e| format!("{t:?} vs oracle: {e}"))?;
+                if t != SimdTier::Scalar {
+                    exact(got, vector_reduce(t, a.len(), |i| (a[i], b[i])))
+                        .map_err(|e| format!("{t:?} dot: {e}"))?;
+                }
                 per_tier.push((t, got));
             }
             for (t, got) in &per_tier[1..] {
@@ -131,6 +185,10 @@ fn axpy_matches_oracle_bitwise_per_tier() {
                     let mag = y0[i].abs() + (alpha * x[i]).abs();
                     if t == SimdTier::Scalar && y[i].to_bits() != want.to_bits() {
                         return Err(format!("scalar axpy[{i}]: {} vs {want}", y[i]));
+                    }
+                    if t != SimdTier::Scalar {
+                        exact(y[i], alpha.mul_add(x[i], y0[i]))
+                            .map_err(|e| format!("{t:?} axpy[{i}]: {e}"))?;
                     }
                     close(y[i], want, mag).map_err(|e| format!("{t:?} axpy[{i}]: {e}"))?;
                 }
@@ -181,6 +239,21 @@ fn dist2_and_batch_match_naive_knn_oracle() {
                     close(out[j], want, mag).map_err(|e| format!("{t:?} batch[{j}]: {e}"))?;
                     let single = simd::with_tier(t, || simd::dist2(p, q));
                     close(single, want, mag).map_err(|e| format!("{t:?} dist2[{j}]: {e}"))?;
+                    if t != SimdTier::Scalar {
+                        // Batch lanes hold points: one fma chain per point
+                        // over ascending coordinates, wherever it sits.
+                        let mut chain = 0.0f64;
+                        for k in 0..dim {
+                            let d = p[k] - q[k];
+                            chain = d.mul_add(d, chain);
+                        }
+                        exact(out[j], chain).map_err(|e| format!("{t:?} batch[{j}]: {e}"))?;
+                        let strided = vector_reduce(t, dim, |k| {
+                            let d = p[k] - q[k];
+                            (d, d)
+                        });
+                        exact(single, strided).map_err(|e| format!("{t:?} dist2[{j}]: {e}"))?;
+                    }
                 }
             }
             Ok(())
@@ -199,7 +272,7 @@ fn spmv_matches_triplet_oracle_per_tier() {
             // Random sparsity incl. empty rows and rows of every lane-tail length.
             let mut triplets = Vec::new();
             for r in 0..rows {
-                let nnz = (rng.next_u64() % 7) as usize; // 0..=6 per row
+                let nnz = (rng.next_u64() % 19) as usize; // 0..=18 per row
                 for _ in 0..nnz {
                     let c = (rng.next_u64() % cols as u64) as usize;
                     triplets.push((r, c, adversarial(rng)));
@@ -233,6 +306,12 @@ fn spmv_matches_triplet_oracle_per_tier() {
                 for r in 0..*rows {
                     let mag: f64 = (0..*cols).map(|c| (dense[r * cols + c] * x[c]).abs()).sum();
                     close(y[r], want[r], mag).map_err(|e| format!("{t:?} row {r}: {e}"))?;
+                    if t != SimdTier::Scalar {
+                        let terms: Vec<(f64, f64)> =
+                            a.row_iter(r).map(|(c, v)| (v, x[c])).collect();
+                        exact(y[r], vector_reduce(t, terms.len(), |i| terms[i]))
+                            .map_err(|e| format!("{t:?} row {r}: {e}"))?;
+                    }
                 }
             }
             Ok(())
@@ -290,6 +369,12 @@ fn gemm_matches_reference_oracle_per_tier() {
                                 .sum::<f64>()
                                 + (0.4 * c0.get(i, j)).abs();
                             close(got, w, mag).map_err(|e| format!("{t:?} gemm[{i},{j}]: {e}"))?;
+                            // β scales first, then one fma per k, ascending.
+                            let mut chain = c0.get(i, j) * -0.4;
+                            for p in 0..*k {
+                                chain = (0.9 * a.get(i, p)).mul_add(b.get(p, j), chain);
+                            }
+                            exact(got, chain).map_err(|e| format!("{t:?} gemm[{i},{j}]: {e}"))?;
                         }
                     }
                 }
@@ -297,6 +382,27 @@ fn gemm_matches_reference_oracle_per_tier() {
             Ok(())
         },
     );
+}
+
+/// One vector-tier Adam step on one element: the two moment updates
+/// are single-rounding FMAs, the rest rounds per operation. Returns the
+/// new `(m, v, p)`.
+#[allow(clippy::too_many_arguments)]
+fn adam_chain(
+    p: f64,
+    g: f64,
+    m: f64,
+    v: f64,
+    b1: f64,
+    b2: f64,
+    bc1: f64,
+    bc2: f64,
+    lr: f64,
+    eps: f64,
+) -> (f64, f64, f64) {
+    let m = b1.mul_add(m, (1.0 - b1) * g);
+    let v = b2.mul_add(v, ((1.0 - b2) * g) * g);
+    (m, v, p - lr * (m / bc1) / ((v / bc2).sqrt() + eps))
 }
 
 #[test]
@@ -342,6 +448,13 @@ fn adam_update_matches_naive_oracle_per_tier() {
                         .map_err(|e| format!("{t:?} v[{i}]: {e}"))?;
                     close(p[i], pw[i], pw[i].abs().max(1.0))
                         .map_err(|e| format!("{t:?} p[{i}]: {e}"))?;
+                    if t != SimdTier::Scalar {
+                        let (em, ev, ep) =
+                            adam_chain(p0[i], g[i], m0[i], v0[i], b1, b2, bc1, bc2, lr, eps);
+                        exact(m[i], em).map_err(|e| format!("{t:?} m[{i}]: {e}"))?;
+                        exact(v[i], ev).map_err(|e| format!("{t:?} v[{i}]: {e}"))?;
+                        exact(p[i], ep).map_err(|e| format!("{t:?} p[{i}]: {e}"))?;
+                    }
                 }
             }
             Ok(())
@@ -427,23 +540,57 @@ fn bgemm_accum_matches_per_lane_oracle() {
                     }
                 }
             }
+            // The same product through the transposed-A entry point and
+            // through both packings of B: `at` is `kd × m·L`, `w` (= Bᵀ)
+            // is `n × kd·L`.
+            let mut at = vec![0.0; a.len()];
+            let mut w = vec![0.0; b.len()];
+            for k in 0..kd {
+                for l in 0..lanes {
+                    for r in 0..m {
+                        at[(k * m + r) * lanes + l] = a[(r * kd + k) * lanes + l];
+                    }
+                    for j in 0..n {
+                        w[(j * kd + k) * lanes + l] = b[(k * n + j) * lanes + l];
+                    }
+                }
+            }
             for &t in simd::available_tiers() {
-                let mut c = c0.clone();
-                simd::with_tier(t, || simd::bgemm_accum(lanes, a, b, &mut c, m, kd, n));
-                for i in 0..c.len() {
-                    if t == SimdTier::Scalar {
-                        if c[i].to_bits() != want[i].to_bits() {
-                            return Err(format!("scalar bgemm[{i}]: {} vs {}", c[i], want[i]));
-                        }
-                    } else {
+                let runs = simd::with_tier(t, || {
+                    let mut out = [c0.clone(), c0.clone(), c0.clone(), c0.clone()];
+                    simd::bgemm_accum(lanes, a, b, &mut out[0], m, kd, n);
+                    simd::bgemm_accum_t(lanes, &at, b, &mut out[1], m, kd, n);
+                    let mut bp = simd::PackedB::new();
+                    simd::bgemm_pack_b(lanes, b, kd, n, &mut bp);
+                    simd::bgemm_accum_packed(a, &bp, &mut out[2], m);
+                    simd::bgemm_pack_b_t(lanes, &w, kd, n, &mut bp);
+                    simd::bgemm_accum_packed(a, &bp, &mut out[3], m);
+                    out
+                });
+                for (path, c) in ["accum", "accum_t", "packed", "packed_t"].iter().zip(&runs) {
+                    for i in 0..c.len() {
                         let (r, j, l) = (i / (n * lanes), (i / lanes) % n, i % lanes);
-                        let mag: f64 = (0..kd)
-                            .map(|k| {
-                                (a[(r * kd + k) * lanes + l] * b[(k * n + j) * lanes + l]).abs()
-                            })
-                            .sum::<f64>()
-                            + c0[i].abs();
-                        close(c[i], want[i], mag).map_err(|e| format!("{t:?} bgemm[{i}]: {e}"))?;
+                        if t == SimdTier::Scalar {
+                            if c[i].to_bits() != want[i].to_bits() {
+                                return Err(format!("scalar {path}[{i}]: {} vs {}", c[i], want[i]));
+                            }
+                        } else {
+                            let mag: f64 = (0..kd)
+                                .map(|k| {
+                                    (a[(r * kd + k) * lanes + l] * b[(k * n + j) * lanes + l]).abs()
+                                })
+                                .sum::<f64>()
+                                + c0[i].abs();
+                            close(c[i], want[i], mag)
+                                .map_err(|e| format!("{t:?} {path}[{i}]: {e}"))?;
+                            let mut chain = c0[i];
+                            for k in 0..kd {
+                                let (av, bv) =
+                                    (a[(r * kd + k) * lanes + l], b[(k * n + j) * lanes + l]);
+                                chain = av.mul_add(bv, chain);
+                            }
+                            exact(c[i], chain).map_err(|e| format!("{t:?} {path}[{i}]: {e}"))?;
+                        }
                     }
                 }
             }
@@ -515,6 +662,15 @@ fn adam_update_multi_matches_per_lane_oracle() {
                         .map_err(|e| format!("{t:?} v[{i}]: {e}"))?;
                     close(p[i], pw[i], pw[i].abs().max(1.0))
                         .map_err(|e| format!("{t:?} p[{i}]: {e}"))?;
+                    if t != SimdTier::Scalar {
+                        let l = i % lanes;
+                        let (em, ev, ep) = adam_chain(
+                            p0[i], g[i], m0[i], v0[i], b1, b2, bc1[l], bc2[l], lr[l], eps,
+                        );
+                        exact(m[i], em).map_err(|e| format!("{t:?} m[{i}]: {e}"))?;
+                        exact(v[i], ev).map_err(|e| format!("{t:?} v[{i}]: {e}"))?;
+                        exact(p[i], ep).map_err(|e| format!("{t:?} p[{i}]: {e}"))?;
+                    }
                 }
             }
             Ok(())
@@ -591,6 +747,18 @@ fn activation_combine_kernels_match_formula_oracle() {
                     close(gz[i], wgz, mgz).map_err(|e| format!("{t:?} gz[{i}]: {e}"))?;
                     close(gzj[i], wgzj, mgzj).map_err(|e| format!("{t:?} gzj[{i}]: {e}"))?;
                     close(gzh[i], wgzh, wgzh.abs()).map_err(|e| format!("{t:?} gzh[{i}]: {e}"))?;
+                    if t != SimdTier::Scalar {
+                        let eh = (s2[i] * zj[i]).mul_add(zj[i], s1[i] * zh[i]);
+                        let t1 = (gj[i] * s2[i]) * zj[i];
+                        let t2 = (s3[i] * zj[i]).mul_add(zj[i], s2[i] * zh[i]);
+                        let egz = 0.0 + gh[i].mul_add(t2, t1);
+                        let egzj = ((gh[i] * 2.0) * s2[i]).mul_add(zj[i], gj[i] * s1[i]);
+                        exact(jo[i], s1[i] * zj[i]).map_err(|e| format!("{t:?} j[{i}]: {e}"))?;
+                        exact(ho[i], eh).map_err(|e| format!("{t:?} h[{i}]: {e}"))?;
+                        exact(gz[i], egz).map_err(|e| format!("{t:?} gz[{i}]: {e}"))?;
+                        exact(gzj[i], egzj).map_err(|e| format!("{t:?} gzj[{i}]: {e}"))?;
+                        exact(gzh[i], gh[i] * s1[i]).map_err(|e| format!("{t:?} gzh[{i}]: {e}"))?;
+                    }
                 }
             }
             Ok(())
