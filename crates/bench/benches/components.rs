@@ -876,6 +876,36 @@ fn bench_simd_kernels(r: &mut Runner) {
         );
         p[0]
     });
+
+    // The activation combines at the same odd length, so the vector
+    // tiers' masked tail runs too.
+    let s: Vec<Vec<f64>> = (0..7)
+        .map(|_| (0..n).map(|_| rng.gaussian()).collect())
+        .collect();
+    let (mut jo, mut ho) = (vec![0.0; n], vec![0.0; n]);
+    r.bench("simd_kernels", "act_fwd_jh_100k", || {
+        simd::act_fwd_jh(&s[0], &s[1], &s[2], &s[3], &mut jo, &mut ho);
+        ho[0]
+    });
+    let (mut gz, mut gzj, mut gzh) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    r.bench("simd_kernels", "act_bwd_accum_100k", || {
+        simd::act_bwd_accum(
+            &s[0], &s[1], &s[2], &s[3], &s[4], &s[5], &s[6], &mut gz, &mut gzj, &mut gzh,
+        );
+        gzh[0]
+    });
+
+    // An odd row count runs the single-row micro-kernel, and 51 columns
+    // leave a 3-column tail at both vector widths.
+    let ta = Matrix::gaussian(257, 51, &mut rng);
+    let tb = Matrix::gaussian(51, 51, &mut rng);
+    let mut tc = Matrix::zeros(257, 51);
+    r.bench("simd_kernels", "gemm_257x51", || {
+        sgm_par::with_parallelism(Parallelism::Serial, || {
+            gemm(1.0, &ta, &tb, 0.0, &mut tc);
+            tc.get(0, 0)
+        })
+    });
 }
 
 /// Batched multi-model execution: B same-architecture networks stepped

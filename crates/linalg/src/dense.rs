@@ -539,9 +539,10 @@ pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
 }
 
 /// Blocked kernel over one horizontal band of `c`, dispatched on the
-/// SIMD tier: the AVX-512 and AVX2 variants vectorise the innermost j
-/// loop 8- resp. 4-wide (FMA, ascending-k update order preserved), the
-/// scalar variant is the original register-tiled kernel. All keep
+/// SIMD tier: the AVX-512 and AVX2 tiers run one vector body that
+/// vectorises the innermost j loop 8- resp. 4-wide over row pairs, with
+/// a masked column tail (FMA, ascending-k update order preserved); the
+/// scalar tier runs the original register-tiled kernel. All keep
 /// per-element accumulation order independent of the band split, so
 /// parallelism stays bit-invariant within any tier.
 fn gemm_band(alpha: f64, a: &Matrix, b: &Matrix, row0: usize, cband: &mut [f64]) {
@@ -641,8 +642,9 @@ pub fn gemm_reference(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Mat
     }
 }
 
-/// Dot product (SIMD-dispatched; four index-strided partial sums in
-/// both tiers — see `simd` module docs for the cross-tier contract).
+/// Dot product (SIMD-dispatched; one index-strided partial sum per lane:
+/// four in the scalar and AVX2 tiers, eight in AVX-512 — see `simd`
+/// module docs for the cross-tier contract).
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     crate::simd::dot(a, b)

@@ -1,13 +1,15 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot loops.
 //!
-//! Every kernel exists in up to three implementations — a portable
-//! unrolled scalar fallback, an AVX2+FMA `f64×4` version, and an
-//! AVX-512 `f64×8` version built on `core::arch::x86_64` intrinsics —
-//! selected at runtime by a *dispatch tier* ([`SimdTier`]). The tier is
-//! resolved once from the `SGM_SIMD` environment variable (`auto` /
-//! `avx512` / `avx2` / `scalar`, mirroring `SGM_NUM_THREADS`) plus
-//! `is_x86_feature_detected!`, and can be forced programmatically with
-//! [`with_tier`] for tests and benches.
+//! Every kernel has a portable unrolled scalar body and one vector body.
+//! The vector body is an `#[inline(always)]` function generic over a
+//! private lane type with two implementations built on
+//! `core::arch::x86_64` intrinsics — AVX2+FMA `f64×4` and AVX-512
+//! `f64×8` — and each of those tiers instantiates it through a one-line
+//! `#[target_feature]` entry point. The three tiers ([`SimdTier`]) are
+//! selected at runtime: the tier is resolved once from the `SGM_SIMD`
+//! environment variable (`auto` / `avx512` / `avx2` / `scalar`,
+//! mirroring `SGM_NUM_THREADS`) plus `is_x86_feature_detected!`, and can
+//! be forced programmatically with [`with_tier`] for tests and benches.
 //!
 //! ## Determinism tiers
 //!
@@ -20,15 +22,18 @@
 //! association (4- vs 8-lane partial sums). For reductions of `n` terms
 //! the divergence is bounded by `O(n·ε)` relative to the term-magnitude
 //! sum — the testkit oracle sweeps
-//! (`crates/testkit/tests/simd_oracles.rs`) pin it below `1e-12`.
+//! (`crates/testkit/tests/simd_oracles.rs`) pin it below `1e-12`, and
+//! pin each vector tier bit for bit to a scalar `f64::mul_add` replay of
+//! its operation chain.
 //!
 //! Reduction kernels ([`dot`], [`dist2`]) accumulate in index-strided
 //! partial sums (one per vector lane) folded pairwise with a sequential
 //! scalar tail. Elementwise kernels ([`axpy`], [`scale`],
 //! [`add_assign`], [`hadamard`], [`adam_update`], the activation
-//! combines) are **position-independent within a tier**: the FMA tiers'
-//! remainder tails replay the exact per-element lane computation with
-//! scalar FMAs (`f64::mul_add`), so an element's result never depends
+//! combines) are **position-independent within a tier**: the vector
+//! tiers run the remainder through the same vector body under a lane
+//! mask (a k-mask on AVX-512, `vmaskmovpd` on AVX2), so every live lane
+//! performs the same operations and an element's result never depends
 //! on where it sits relative to a vector-width boundary. Chunked
 //! parallel callers and the batched multi-model kernels
 //! ([`bgemm_accum`], [`adam_update_multi`]) rely on this to get
@@ -90,9 +95,10 @@ pub fn avx2_available() -> bool {
 }
 
 /// True when the host supports the AVX-512 tier. AVX-512F is the gate
-/// for the `f64×8` kernels; AVX2+FMA is required too because the wide
-/// kernels' remainder tails reuse the AVX2 scalar-FMA helpers (every
-/// AVX-512F part ships both).
+/// for the `f64×8` kernels; AVX2+FMA is required too, because the
+/// 8-lane horizontal fold finishes in 256-bit registers and [`transpose`]
+/// runs its 4×4 AVX2 shuffle at this tier (every AVX-512F part ships
+/// both).
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -207,10 +213,265 @@ pub fn with_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
 // scalar body is the whole kernel.
 
 // ---------------------------------------------------------------------------
+// Lane types: the vector tiers' only intrinsics (apart from `transpose`)
+// ---------------------------------------------------------------------------
+
+/// One vector of `f64` lanes at a vector tier. Every vector kernel is a
+/// single `#[inline(always)]` body generic over this trait; the entry
+/// points that `entry_points!` defines instantiate it inside a function
+/// compiled for the tier's CPU features, which is where the intrinsics
+/// below are inlined.
+///
+/// Every method is `unsafe`: the caller must run with the tier's CPU
+/// features available, and pointers must be valid for the lanes the
+/// method reads or writes.
+#[cfg(target_arch = "x86_64")]
+trait Lane: Copy {
+    /// Lanes per vector.
+    const W: usize;
+    /// Register-tile rows of the packed batched GEMM ([`bgemm_packed`]).
+    const TILE_ROWS: usize;
+    /// The dispatch tier these lanes belong to.
+    const TIER: SimdTier;
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn load(p: *const f64) -> Self;
+    unsafe fn store(self, p: *mut f64);
+    /// Loads the low `n ≤ W` lanes and zeroes the rest, touching no
+    /// memory past `p + n`. `n == W` is a plain [`Lane::load`], so a
+    /// body written over `n` lanes and called with the constant `W`
+    /// compiles to unmasked loads.
+    unsafe fn load_n(p: *const f64, n: usize) -> Self;
+    /// Stores the low `n ≤ W` lanes, touching no memory past `p + n`
+    /// (`n == W` is a plain [`Lane::store`]).
+    unsafe fn store_n(self, p: *mut f64, n: usize);
+    /// `self · b + c` with a single rounding.
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self;
+    unsafe fn add(self, b: Self) -> Self;
+    unsafe fn sub(self, b: Self) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+    unsafe fn div(self, b: Self) -> Self;
+    unsafe fn sqrt(self) -> Self;
+    /// Sums the lanes in the tier's fixed association.
+    unsafe fn hsum(self) -> f64;
+    /// Lane `l` holds `x[idx[l]]`; the indices are read as `i32`.
+    unsafe fn gather(x: *const f64, idx: *const u32) -> Self;
+    /// Lane `l` holds `p[l · stride]` for `l < n` and zero above.
+    unsafe fn load_strided(p: *const f64, stride: usize, n: usize) -> Self;
+}
+
+/// The AVX2+FMA tier's `f64×4` lanes.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(__m256d);
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// `vmaskmovpd` mask selecting the low `n` lanes.
+    #[inline(always)]
+    unsafe fn mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx2 {
+    const W: usize = 4;
+    const TILE_ROWS: usize = 2;
+    const TIER: SimdTier = SimdTier::Avx2;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx2(_mm256_set1_pd(x))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx2(_mm256_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        _mm256_storeu_pd(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn load_n(p: *const f64, n: usize) -> Self {
+        if n == Self::W {
+            return Self::load(p);
+        }
+        Avx2(_mm256_maskload_pd(p, Self::mask(n)))
+    }
+    #[inline(always)]
+    unsafe fn store_n(self, p: *mut f64, n: usize) {
+        if n == Self::W {
+            return self.store(p);
+        }
+        _mm256_maskstore_pd(p, Self::mask(n), self.0)
+    }
+    #[inline(always)]
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+        Avx2(_mm256_fmadd_pd(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Avx2(_mm256_add_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Avx2(_mm256_sub_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Avx2(_mm256_mul_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn div(self, b: Self) -> Self {
+        Avx2(_mm256_div_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        Avx2(_mm256_sqrt_pd(self.0))
+    }
+    /// `(l0 + l2) + (l1 + l3)` — the association of the scalar tier's
+    /// four partial sums.
+    #[inline(always)]
+    unsafe fn hsum(self) -> f64 {
+        let lo = _mm256_castpd256_pd128(self.0); // [l0, l1]
+        let hi = _mm256_extractf128_pd::<1>(self.0); // [l2, l3]
+        let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
+        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+    }
+    #[inline(always)]
+    unsafe fn gather(x: *const f64, idx: *const u32) -> Self {
+        Avx2(_mm256_i32gather_pd::<8>(x, _mm_loadu_si128(idx.cast())))
+    }
+    #[inline(always)]
+    unsafe fn load_strided(p: *const f64, stride: usize, n: usize) -> Self {
+        let at = |l: usize| if l < n { *p.add(l * stride) } else { 0.0 };
+        Avx2(_mm256_set_pd(at(3), at(2), at(1), at(0)))
+    }
+}
+
+/// The AVX-512F tier's `f64×8` lanes.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(__m512d);
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    /// k-mask selecting the low `n` lanes.
+    #[inline(always)]
+    fn mask(n: usize) -> __mmask8 {
+        ((1u16 << n) - 1) as __mmask8
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx512 {
+    const W: usize = 8;
+    const TILE_ROWS: usize = 4;
+    const TIER: SimdTier = SimdTier::Avx512;
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx512(_mm512_set1_pd(x))
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx512(_mm512_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        _mm512_storeu_pd(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn load_n(p: *const f64, n: usize) -> Self {
+        if n == Self::W {
+            return Self::load(p);
+        }
+        Avx512(_mm512_maskz_loadu_pd(Self::mask(n), p))
+    }
+    #[inline(always)]
+    unsafe fn store_n(self, p: *mut f64, n: usize) {
+        if n == Self::W {
+            return self.store(p);
+        }
+        _mm512_mask_storeu_pd(p, Self::mask(n), self.0)
+    }
+    #[inline(always)]
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+        Avx512(_mm512_fmadd_pd(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Avx512(_mm512_add_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Avx512(_mm512_sub_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Avx512(_mm512_mul_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn div(self, b: Self) -> Self {
+        Avx512(_mm512_div_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        Avx512(_mm512_sqrt_pd(self.0))
+    }
+    /// Adds lanes `l` and `l + 4`, then folds the 256-bit sum like
+    /// [`Avx2::hsum`] — a different association than the 4-lane tiers,
+    /// covered by the cross-tier `1e-12` reduction bound.
+    #[inline(always)]
+    unsafe fn hsum(self) -> f64 {
+        let lo = _mm512_castpd512_pd256(self.0);
+        let hi = _mm512_extractf64x4_pd::<1>(self.0);
+        Avx2(_mm256_add_pd(lo, hi)).hsum()
+    }
+    #[inline(always)]
+    unsafe fn gather(x: *const f64, idx: *const u32) -> Self {
+        Avx512(_mm512_i32gather_pd::<8>(_mm256_loadu_si256(idx.cast()), x))
+    }
+    #[inline(always)]
+    unsafe fn load_strided(p: *const f64, stride: usize, n: usize) -> Self {
+        let at = |l: usize| if l < n { *p.add(l * stride) } else { 0.0 };
+        Avx512(_mm512_set_pd(
+            at(7),
+            at(6),
+            at(5),
+            at(4),
+            at(3),
+            at(2),
+            at(1),
+            at(0),
+        ))
+    }
+}
+
+/// Defines a kernel's two `#[target_feature]` entry points, `$avx2` and
+/// `$avx512`, each instantiating the generic vector body `$body` at its
+/// tier's lane type. Calling one is `unsafe`: the caller must have
+/// selected that tier (so its CPU features are available) and must meet
+/// `$body`'s own preconditions.
+macro_rules! entry_points {
+    ($vis:vis $avx2:ident, $avx512:ident = $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        #[allow(clippy::too_many_arguments)]
+        $vis unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? { $body::<Avx2>($($arg),*) }
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+        #[allow(clippy::too_many_arguments)]
+        $vis unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? { $body::<Avx512>($($arg),*) }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
 
-/// Dot product with four index-strided partial sums.
+/// Dot product with index-strided partial sums, one per vector lane
+/// (four in the scalar and AVX2 tiers, eight in AVX-512), folded
+/// pairwise, then a sequential tail.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -247,20 +508,20 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+entry_points!(dot_avx2, dot_avx512 = dot_vec(a: &[f64], b: &[f64]) -> f64);
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
+#[inline(always)]
+unsafe fn dot_vec<L: Lane>(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm256_setzero_pd();
+    let mut acc = L::splat(0.0);
     let mut i = 0;
-    while i + 4 <= n {
-        let av = _mm256_loadu_pd(pa.add(i));
-        let bv = _mm256_loadu_pd(pb.add(i));
-        acc = _mm256_fmadd_pd(av, bv, acc);
-        i += 4;
+    while i + L::W <= n {
+        acc = L::load(pa.add(i)).mul_add(L::load(pb.add(i)), acc);
+        i += L::W;
     }
-    let mut s = hsum(acc);
+    let mut s = acc.hsum();
     while i < n {
         s += a[i] * b[i];
         i += 1;
@@ -268,18 +529,8 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Folds a 4-lane accumulator as `(l0 + l2) + (l1 + l3)` — the same
-/// association the scalar twin uses.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum(v: __m256d) -> f64 {
-    let lo = _mm256_castpd256_pd128(v); // [l0, l1]
-    let hi = _mm256_extractf128_pd(v, 1); // [l2, l3]
-    let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-    _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-}
-
-/// Fused squared Euclidean distance `Σ (a_i - b_i)²`.
+/// Fused squared Euclidean distance `Σ (a_i - b_i)²`, with the partial
+/// sums of [`dot`].
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -320,19 +571,21 @@ fn dist2_scalar(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+entry_points!(dist2_avx2, dist2_avx512 = dist2_vec(a: &[f64], b: &[f64]) -> f64);
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dist2_avx2(a: &[f64], b: &[f64]) -> f64 {
+#[inline(always)]
+unsafe fn dist2_vec<L: Lane>(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm256_setzero_pd();
+    let mut acc = L::splat(0.0);
     let mut i = 0;
-    while i + 4 <= n {
-        let d = _mm256_sub_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)));
-        acc = _mm256_fmadd_pd(d, d, acc);
-        i += 4;
+    while i + L::W <= n {
+        let d = L::load(pa.add(i)).sub(L::load(pb.add(i)));
+        acc = d.mul_add(d, acc);
+        i += L::W;
     }
-    let mut s = hsum(acc);
+    let mut s = acc.hsum();
     while i < n {
         let d = a[i] - b[i];
         s += d * d;
@@ -343,14 +596,14 @@ unsafe fn dist2_avx2(a: &[f64], b: &[f64]) -> f64 {
 
 /// Squared distances from query `q` to every point of a flat row-major
 /// `out.len() × dim` cloud: `out[j] = ‖points[j·dim..][..dim] - q‖²`.
-/// The AVX2 tier evaluates four *points* per step (lanes hold points,
-/// not coordinates), which is what makes low-dimensional kNN scans
-/// vectorisable; each point's coordinate sum stays in ascending order.
+/// The vector tiers evaluate one *point* per lane (four or eight per
+/// step), which is what makes low-dimensional kNN scans vectorisable;
+/// each point's coordinate sum stays in ascending order.
 ///
 /// **Position independence:** within a tier, each point's result is a
 /// pure function of `(point, q)` — independent of where the point sits
-/// in the batch. The AVX2 tail therefore uses a scalar-*FMA* loop with
-/// the same per-coordinate `fma(d, d, acc)` sequence as the lanes, so
+/// in the batch. In the vector tiers every point, the remainder
+/// included, is the same per-coordinate `fma(d, d, acc)` chain, so
 /// regrouping a batch can never change a distance bit.
 ///
 /// # Panics
@@ -382,64 +635,67 @@ fn dist2_point_scalar(p: &[f64], q: &[f64]) -> f64 {
     s
 }
 
-/// Scalar-FMA per-point squared distance: the AVX2 batch tail. Performs
-/// exactly the lane computation (`acc = fma(d, d, acc)` per ascending
-/// coordinate), so AVX2 batch results are independent of batch position.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dist2_point_fma(p: &[f64], q: &[f64]) -> f64 {
-    let mut acc = _mm_setzero_pd();
-    for (pv, qv) in p.iter().zip(q) {
-        let d = _mm_set_sd(pv - qv);
-        acc = _mm_fmadd_sd(d, d, acc);
-    }
-    _mm_cvtsd_f64(acc)
-}
+entry_points!(
+    dist2_batch_avx2,
+    dist2_batch_avx512 = dist2_batch_vec(points: &[f64], dim: usize, q: &[f64], out: &mut [f64])
+);
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dist2_batch_avx2(points: &[f64], dim: usize, q: &[f64], out: &mut [f64]) {
+#[inline(always)]
+unsafe fn dist2_batch_vec<L: Lane>(points: &[f64], dim: usize, q: &[f64], out: &mut [f64]) {
     let n = out.len();
-    let p = points.as_ptr();
+    let (pp, po) = (points.as_ptr(), out.as_mut_ptr());
     let mut j = 0;
-    while j + 4 <= n {
-        let base = j * dim;
-        let mut acc = _mm256_setzero_pd();
-        for (k, &qk) in q.iter().enumerate() {
-            let pk = _mm256_set_pd(
-                *p.add(base + 3 * dim + k),
-                *p.add(base + 2 * dim + k),
-                *p.add(base + dim + k),
-                *p.add(base + k),
-            );
-            let d = _mm256_sub_pd(pk, _mm256_set1_pd(qk));
-            acc = _mm256_fmadd_pd(d, d, acc);
-        }
-        _mm256_storeu_pd(out.as_mut_ptr().add(j), acc);
-        j += 4;
+    while j + L::W <= n {
+        dist2_points::<L>(pp.add(j * dim), dim, q, po.add(j), L::W);
+        j += L::W;
     }
-    while j < n {
-        out[j] = dist2_point_fma(&points[j * dim..(j + 1) * dim], q);
-        j += 1;
+    if j < n {
+        dist2_points::<L>(pp.add(j * dim), dim, q, po.add(j), n - j);
     }
+}
+
+/// Squared distances from `q` to the `r ≤ W` consecutive `dim`-point
+/// rows at `p`, one point per lane (`acc = fma(d, d, acc)` over
+/// ascending coordinates), stored to `out[..r]`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dist2_points<L: Lane>(p: *const f64, dim: usize, q: &[f64], out: *mut f64, r: usize) {
+    let mut acc = L::splat(0.0);
+    for (k, &qk) in q.iter().enumerate() {
+        let d = L::load_strided(p.add(k), dim, r).sub(L::splat(qk));
+        acc = d.mul_add(d, acc);
+    }
+    acc.store_n(out, r);
 }
 
 /// CSR sparse matrix–vector product `y = A x` over raw CSR arrays (rows
-/// are `row_ptr.len() - 1`; see `sgm_linalg::sparse::Csr`). The AVX2
-/// tier gathers four `x` entries per step with `vgatherdpd`; each row's
-/// sum uses the strided-lane accumulation of [`dot`].
+/// are `row_ptr.len() - 1`); its one caller is
+/// `sgm_linalg::sparse::Csr::mul_vec`. The vector tiers gather one `x`
+/// entry per lane with `vgatherdpd`; each row's sum uses the
+/// strided-lane accumulation of [`dot`].
+///
+/// The vector tiers read `col_idx`, `values` and the gathered `x`
+/// entries without bounds checks, so the caller must pass a well-formed
+/// CSR triple: `row_ptr` non-decreasing with its last entry at most
+/// `col_idx.len() == values.len()`, and every column index below
+/// `x.len()`. `Csr`'s private fields, the index checks of
+/// `Csr::from_triplets` and `mul_vec`'s `x.len() == cols` assert
+/// guarantee this.
 ///
 /// # Panics
-/// Panics if `y.len() + 1 != row_ptr.len()` or an index is out of range
-/// (debug builds).
-pub fn spmv(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
+/// Panics if `y.len() + 1 != row_ptr.len()`; the scalar tier also panics
+/// on an out-of-range index.
+pub(crate) fn spmv(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
     assert_eq!(y.len() + 1, row_ptr.len(), "spmv row count");
     debug_assert_eq!(col_idx.len(), values.len());
     #[cfg(target_arch = "x86_64")]
     // The gathers treat indices as i32, so huge column spaces fall back.
     if x.len() <= i32::MAX as usize {
         // SAFETY: each vector tier implies its CPU features are
-        // available; indices fit i32.
+        // available; the caller passes a well-formed CSR triple whose
+        // column indices are below `x.len()` (see above), and they fit
+        // i32.
         match current_tier() {
             SimdTier::Avx512 => return unsafe { spmv_avx512(row_ptr, col_idx, values, x, y) },
             SimdTier::Avx2 => return unsafe { spmv_avx2(row_ptr, col_idx, values, x, y) },
@@ -455,23 +711,31 @@ pub fn spmv(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], y: &m
     }
 }
 
+entry_points!(
+    spmv_avx2,
+    spmv_avx512 =
+        spmv_vec(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64])
+);
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn spmv_avx2(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
-    let px = x.as_ptr();
-    let pc = col_idx.as_ptr();
-    let pv = values.as_ptr();
+#[inline(always)]
+unsafe fn spmv_vec<L: Lane>(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let (px, pc, pv) = (x.as_ptr(), col_idx.as_ptr(), values.as_ptr());
     for (r, yr) in y.iter_mut().enumerate() {
         let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let mut acc = _mm256_setzero_pd();
+        let mut acc = L::splat(0.0);
         let mut p = lo;
-        while p + 4 <= hi {
-            let idx = _mm_loadu_si128(pc.add(p) as *const __m128i);
-            let xv = _mm256_i32gather_pd::<8>(px, idx);
-            acc = _mm256_fmadd_pd(_mm256_loadu_pd(pv.add(p)), xv, acc);
-            p += 4;
+        while p + L::W <= hi {
+            acc = L::load(pv.add(p)).mul_add(L::gather(px, pc.add(p)), acc);
+            p += L::W;
         }
-        let mut s = hsum(acc);
+        let mut s = acc.hsum();
         while p < hi {
             s += values[p] * x[col_idx[p] as usize];
             p += 1;
@@ -503,24 +767,23 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+entry_points!(axpy_avx2, axpy_avx512 = axpy_vec(alpha: f64, x: &[f64], y: &mut [f64]));
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    let av = _mm256_set1_pd(alpha);
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
+#[inline(always)]
+unsafe fn axpy_vec<L: Lane>(alpha: f64, x: &[f64], y: &mut [f64]) {
+    let (n, px, py) = (x.len(), x.as_ptr(), y.as_mut_ptr());
+    let av = L::splat(alpha);
     let mut i = 0;
-    while i + 4 <= n {
-        let yv = _mm256_fmadd_pd(av, _mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)));
-        _mm256_storeu_pd(py.add(i), yv);
-        i += 4;
+    while i + L::W <= n {
+        av.mul_add(L::load(px.add(i)), L::load(py.add(i)))
+            .store(py.add(i));
+        i += L::W;
     }
-    // Scalar-FMA tail: same single-rounding `fma(alpha, x, y)` as the
-    // lanes, so results are independent of position within the slice.
-    while i < n {
-        y[i] = alpha.mul_add(x[i], y[i]);
-        i += 1;
+    if i < n {
+        let r = n - i;
+        av.mul_add(L::load_n(px.add(i), r), L::load_n(py.add(i), r))
+            .store_n(py.add(i), r);
     }
 }
 
@@ -540,20 +803,22 @@ pub fn scale(x: &mut [f64], s: f64) {
     }
 }
 
+entry_points!(scale_avx2, scale_avx512 = scale_vec(x: &mut [f64], s: f64));
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scale_avx2(x: &mut [f64], s: f64) {
-    let n = x.len();
-    let sv = _mm256_set1_pd(s);
-    let px = x.as_mut_ptr();
+#[inline(always)]
+unsafe fn scale_vec<L: Lane>(x: &mut [f64], s: f64) {
+    let (n, px) = (x.len(), x.as_mut_ptr());
+    let sv = L::splat(s);
     let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(px.add(i), _mm256_mul_pd(_mm256_loadu_pd(px.add(i)), sv));
-        i += 4;
+    while i + L::W <= n {
+        L::load(px.add(i)).mul(sv).store(px.add(i));
+        i += L::W;
     }
-    while i < n {
-        x[i] *= s;
-        i += 1;
+    if i < n {
+        L::load_n(px.add(i), n - i)
+            .mul(sv)
+            .store_n(px.add(i), n - i);
     }
 }
 
@@ -576,23 +841,22 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
     }
 }
 
+entry_points!(add_assign_avx2, add_assign_avx512 = add_assign_vec(y: &mut [f64], x: &[f64]));
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_avx2(y: &mut [f64], x: &[f64]) {
-    let n = x.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
+#[inline(always)]
+unsafe fn add_assign_vec<L: Lane>(y: &mut [f64], x: &[f64]) {
+    let (n, px, py) = (x.len(), x.as_ptr(), y.as_mut_ptr());
     let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(
-            py.add(i),
-            _mm256_add_pd(_mm256_loadu_pd(py.add(i)), _mm256_loadu_pd(px.add(i))),
-        );
-        i += 4;
+    while i + L::W <= n {
+        L::load(py.add(i)).add(L::load(px.add(i))).store(py.add(i));
+        i += L::W;
     }
-    while i < n {
-        y[i] += x[i];
-        i += 1;
+    if i < n {
+        let r = n - i;
+        L::load_n(py.add(i), r)
+            .add(L::load_n(px.add(i), r))
+            .store_n(py.add(i), r);
     }
 }
 
@@ -692,22 +956,22 @@ pub fn hadamard(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
+entry_points!(hadamard_avx2, hadamard_avx512 = hadamard_vec(a: &[f64], b: &[f64], out: &mut [f64]));
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hadamard_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = a.len();
-    let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+#[inline(always)]
+unsafe fn hadamard_vec<L: Lane>(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let (n, pa, pb, po) = (a.len(), a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
     let mut i = 0;
-    while i + 4 <= n {
-        _mm256_storeu_pd(
-            po.add(i),
-            _mm256_mul_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i))),
-        );
-        i += 4;
+    while i + L::W <= n {
+        L::load(pa.add(i)).mul(L::load(pb.add(i))).store(po.add(i));
+        i += L::W;
     }
-    while i < n {
-        out[i] = a[i] * b[i];
-        i += 1;
+    if i < n {
+        let r = n - i;
+        L::load_n(pa.add(i), r)
+            .mul(L::load_n(pb.add(i), r))
+            .store_n(po.add(i), r);
     }
 }
 
@@ -759,10 +1023,26 @@ pub fn adam_update(
     }
 }
 
+entry_points!(
+    adam_update_avx2,
+    adam_update_avx512 = adam_update_vec(
+        p: &mut [f64],
+        g: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        b1: f64,
+        b2: f64,
+        bc1: f64,
+        bc2: f64,
+        lr: f64,
+        eps: f64
+    )
+);
+
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn adam_update_avx2(
+#[inline(always)]
+unsafe fn adam_update_vec<L: Lane>(
     p: &mut [f64],
     g: &[f64],
     m: &mut [f64],
@@ -775,44 +1055,69 @@ unsafe fn adam_update_avx2(
     eps: f64,
 ) {
     let n = p.len();
-    let (b1v, b2v) = (_mm256_set1_pd(b1), _mm256_set1_pd(b2));
-    let (c1v, c2v) = (_mm256_set1_pd(1.0 - b1), _mm256_set1_pd(1.0 - b2));
-    let (bc1v, bc2v) = (_mm256_set1_pd(bc1), _mm256_set1_pd(bc2));
-    let (lrv, epsv) = (_mm256_set1_pd(lr), _mm256_set1_pd(eps));
-    let (pp, pg, pm, pv) = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+    let step = AdamStep::<L>::new(b1, b2, eps);
+    let (bc1, bc2, lr) = (L::splat(bc1), L::splat(bc2), L::splat(lr));
+    let ptrs = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
     let mut i = 0;
-    while i + 4 <= n {
-        let gv = _mm256_loadu_pd(pg.add(i));
-        let mv = _mm256_fmadd_pd(b1v, _mm256_loadu_pd(pm.add(i)), _mm256_mul_pd(c1v, gv));
-        let vv = _mm256_fmadd_pd(
-            b2v,
-            _mm256_loadu_pd(pv.add(i)),
-            _mm256_mul_pd(_mm256_mul_pd(c2v, gv), gv),
-        );
-        _mm256_storeu_pd(pm.add(i), mv);
-        _mm256_storeu_pd(pv.add(i), vv);
-        let mh = _mm256_div_pd(mv, bc1v);
-        let vh = _mm256_div_pd(vv, bc2v);
-        let denom = _mm256_add_pd(_mm256_sqrt_pd(vh), epsv);
-        let step = _mm256_div_pd(_mm256_mul_pd(lrv, mh), denom);
-        _mm256_storeu_pd(pp.add(i), _mm256_sub_pd(_mm256_loadu_pd(pp.add(i)), step));
-        i += 4;
+    while i + L::W <= n {
+        step.apply(ptrs, i, L::W, bc1, bc2, lr);
+        i += L::W;
     }
-    // Scalar-FMA tail replaying the exact lane computation, so an
-    // element's update is independent of its position in the slice.
-    while i < n {
-        m[i] = b1.mul_add(m[i], (1.0 - b1) * g[i]);
-        v[i] = b2.mul_add(v[i], ((1.0 - b2) * g[i]) * g[i]);
-        let mh = m[i] / bc1;
-        let vh = v[i] / bc2;
-        p[i] -= lr * mh / (vh.sqrt() + eps);
-        i += 1;
+    if i < n {
+        step.apply(ptrs, i, n - i, bc1, bc2, lr);
+    }
+}
+
+/// The per-vector Adam step shared by [`adam_update`] and
+/// [`adam_update_multi`]: the moment updates are single-rounding FMAs
+/// `m = fma(β1, m, (1-β1)·g)`, `v = fma(β2, v, ((1-β2)·g)·g)`, and the
+/// parameter update rounds per operation like the scalar tier.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct AdamStep<L> {
+    b1: L,
+    b2: L,
+    c1: L,
+    c2: L,
+    eps: L,
+}
+
+/// `(p, g, m, v)` base pointers of one Adam update.
+#[cfg(target_arch = "x86_64")]
+type AdamPtrs = (*mut f64, *const f64, *mut f64, *mut f64);
+
+#[cfg(target_arch = "x86_64")]
+impl<L: Lane> AdamStep<L> {
+    #[inline(always)]
+    unsafe fn new(b1: f64, b2: f64, eps: f64) -> Self {
+        AdamStep {
+            b1: L::splat(b1),
+            b2: L::splat(b2),
+            c1: L::splat(1.0 - b1),
+            c2: L::splat(1.0 - b2),
+            eps: L::splat(eps),
+        }
+    }
+
+    /// Updates the `r ≤ W` elements at offset `i`.
+    #[inline(always)]
+    unsafe fn apply(self, (p, g, m, v): AdamPtrs, i: usize, r: usize, bc1: L, bc2: L, lr: L) {
+        let (p, g, m, v) = (p.add(i), g.add(i), m.add(i), v.add(i));
+        let gv = L::load_n(g, r);
+        let mv = self.b1.mul_add(L::load_n(m, r), self.c1.mul(gv));
+        let vv = self.b2.mul_add(L::load_n(v, r), self.c2.mul(gv).mul(gv));
+        mv.store_n(m, r);
+        vv.store_n(v, r);
+        let denom = vv.div(bc2).sqrt().add(self.eps);
+        L::load_n(p, r)
+            .sub(lr.mul(mv.div(bc1)).div(denom))
+            .store_n(p, r);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Batched activation-derivative combines (the MLP's elementwise hot loops;
-// the transcendental σ evaluations themselves stay scalar in both tiers so
+// the transcendental σ evaluations themselves stay scalar in every tier so
 // libm values agree bit-for-bit across tiers).
 // ---------------------------------------------------------------------------
 
@@ -847,9 +1152,21 @@ pub fn act_fwd_jh(
     }
 }
 
+entry_points!(
+    act_fwd_jh_avx2,
+    act_fwd_jh_avx512 = act_fwd_jh_vec(
+        s1: &[f64],
+        s2: &[f64],
+        zj: &[f64],
+        zh: &[f64],
+        j_out: &mut [f64],
+        h_out: &mut [f64]
+    )
+);
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn act_fwd_jh_avx2(
+#[inline(always)]
+unsafe fn act_fwd_jh_vec<L: Lane>(
     s1: &[f64],
     s2: &[f64],
     zj: &[f64],
@@ -858,25 +1175,31 @@ unsafe fn act_fwd_jh_avx2(
     h_out: &mut [f64],
 ) {
     let n = s1.len();
-    let (p1, p2, pj, ph) = (s1.as_ptr(), s2.as_ptr(), zj.as_ptr(), zh.as_ptr());
-    let (pjo, pho) = (j_out.as_mut_ptr(), h_out.as_mut_ptr());
+    let ins = [s1.as_ptr(), s2.as_ptr(), zj.as_ptr(), zh.as_ptr()];
+    let outs = [j_out.as_mut_ptr(), h_out.as_mut_ptr()];
     let mut i = 0;
-    while i + 4 <= n {
-        let s1v = _mm256_loadu_pd(p1.add(i));
-        let s2v = _mm256_loadu_pd(p2.add(i));
-        let zjv = _mm256_loadu_pd(pj.add(i));
-        let zhv = _mm256_loadu_pd(ph.add(i));
-        _mm256_storeu_pd(pjo.add(i), _mm256_mul_pd(s1v, zjv));
-        let h = _mm256_fmadd_pd(_mm256_mul_pd(s2v, zjv), zjv, _mm256_mul_pd(s1v, zhv));
-        _mm256_storeu_pd(pho.add(i), h);
-        i += 4;
+    while i + L::W <= n {
+        act_fwd_jh_lanes::<L>(ins, outs, i, L::W);
+        i += L::W;
     }
-    // Scalar-FMA tail replaying the lane computation exactly.
-    while i < n {
-        j_out[i] = s1[i] * zj[i];
-        h_out[i] = (s2[i] * zj[i]).mul_add(zj[i], s1[i] * zh[i]);
-        i += 1;
+    if i < n {
+        act_fwd_jh_lanes::<L>(ins, outs, i, n - i);
     }
+}
+
+/// [`act_fwd_jh`] over the `r ≤ W` elements at offset `i`:
+/// `j = σ'·zj`, `h = fma(σ''·zj, zj, σ'·zh)`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn act_fwd_jh_lanes<L: Lane>(ins: [*const f64; 4], outs: [*mut f64; 2], i: usize, r: usize) {
+    let s1 = L::load_n(ins[0].add(i), r);
+    let s2 = L::load_n(ins[1].add(i), r);
+    let zj = L::load_n(ins[2].add(i), r);
+    let zh = L::load_n(ins[3].add(i), r);
+    s1.mul(zj).store_n(outs[0].add(i), r);
+    s2.mul(zj)
+        .mul_add(zj, s1.mul(zh))
+        .store_n(outs[1].add(i), r);
 }
 
 /// Backward adjoint combine through an activation for one derivative
@@ -934,10 +1257,26 @@ pub fn act_bwd_accum(
     }
 }
 
+entry_points!(
+    act_bwd_accum_avx2,
+    act_bwd_accum_avx512 = act_bwd_accum_vec(
+        s1: &[f64],
+        s2: &[f64],
+        s3: &[f64],
+        zj: &[f64],
+        zh: &[f64],
+        gj: &[f64],
+        gh: &[f64],
+        gz: &mut [f64],
+        gzj: &mut [f64],
+        gzh: &mut [f64]
+    )
+);
+
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn act_bwd_accum_avx2(
+#[inline(always)]
+unsafe fn act_bwd_accum_vec<L: Lane>(
     s1: &[f64],
     s2: &[f64],
     s3: &[f64],
@@ -950,64 +1289,83 @@ unsafe fn act_bwd_accum_avx2(
     gzh: &mut [f64],
 ) {
     let n = s1.len();
-    let two = _mm256_set1_pd(2.0);
+    let ins = [s1, s2, s3, zj, zh, gj, gh].map(<[f64]>::as_ptr);
+    let outs = [gz.as_mut_ptr(), gzj.as_mut_ptr(), gzh.as_mut_ptr()];
     let mut i = 0;
-    while i + 4 <= n {
-        let s1v = _mm256_loadu_pd(s1.as_ptr().add(i));
-        let s2v = _mm256_loadu_pd(s2.as_ptr().add(i));
-        let s3v = _mm256_loadu_pd(s3.as_ptr().add(i));
-        let zjv = _mm256_loadu_pd(zj.as_ptr().add(i));
-        let zhv = _mm256_loadu_pd(zh.as_ptr().add(i));
-        let gjv = _mm256_loadu_pd(gj.as_ptr().add(i));
-        let ghv = _mm256_loadu_pd(gh.as_ptr().add(i));
-        // t1 = gj·σ''·zj ; t2 = σ'''·zj² + σ''·zh
-        let t1 = _mm256_mul_pd(_mm256_mul_pd(gjv, s2v), zjv);
-        let t2 = _mm256_fmadd_pd(_mm256_mul_pd(s3v, zjv), zjv, _mm256_mul_pd(s2v, zhv));
-        let sum = _mm256_fmadd_pd(ghv, t2, t1);
-        let gzv = _mm256_add_pd(_mm256_loadu_pd(gz.as_ptr().add(i)), sum);
-        _mm256_storeu_pd(gz.as_mut_ptr().add(i), gzv);
-        // gzj = gj·σ' + (gh·2·σ'')·zj
-        let gzjv = _mm256_fmadd_pd(
-            _mm256_mul_pd(_mm256_mul_pd(ghv, two), s2v),
-            zjv,
-            _mm256_mul_pd(gjv, s1v),
-        );
-        _mm256_storeu_pd(gzj.as_mut_ptr().add(i), gzjv);
-        _mm256_storeu_pd(gzh.as_mut_ptr().add(i), _mm256_mul_pd(ghv, s1v));
-        i += 4;
+    while i + L::W <= n {
+        act_bwd_accum_lanes::<L>(ins, outs, i, L::W);
+        i += L::W;
     }
-    // Scalar-FMA tail replaying the lane computation exactly.
-    while i < n {
-        let t1 = (gj[i] * s2[i]) * zj[i];
-        let t2 = (s3[i] * zj[i]).mul_add(zj[i], s2[i] * zh[i]);
-        gz[i] += gh[i].mul_add(t2, t1);
-        gzj[i] = ((gh[i] * 2.0) * s2[i]).mul_add(zj[i], gj[i] * s1[i]);
-        gzh[i] = gh[i] * s1[i];
-        i += 1;
+    if i < n {
+        act_bwd_accum_lanes::<L>(ins, outs, i, n - i);
     }
 }
 
+/// [`act_bwd_accum`] over the `r ≤ W` elements at offset `i`, with
+/// `ins = [σ', σ'', σ''', zj, zh, gj, gh]` and `outs = [gz, gzj, gzh]`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn act_bwd_accum_lanes<L: Lane>(
+    ins: [*const f64; 7],
+    outs: [*mut f64; 3],
+    i: usize,
+    r: usize,
+) {
+    let s1 = L::load_n(ins[0].add(i), r);
+    let s2 = L::load_n(ins[1].add(i), r);
+    let s3 = L::load_n(ins[2].add(i), r);
+    let zj = L::load_n(ins[3].add(i), r);
+    let zh = L::load_n(ins[4].add(i), r);
+    let gj = L::load_n(ins[5].add(i), r);
+    let gh = L::load_n(ins[6].add(i), r);
+    // t1 = gj·σ''·zj ; t2 = σ'''·zj² + σ''·zh ; gz += fma(gh, t2, t1)
+    let t1 = gj.mul(s2).mul(zj);
+    let t2 = s3.mul(zj).mul_add(zj, s2.mul(zh));
+    let gz = outs[0].add(i);
+    L::load_n(gz, r).add(gh.mul_add(t2, t1)).store_n(gz, r);
+    // gzj = fma(gh·2·σ'', zj, gj·σ') ; gzh = gh·σ'
+    let gzj = gh.mul(L::splat(2.0)).mul(s2).mul_add(zj, gj.mul(s1));
+    gzj.store_n(outs[1].add(i), r);
+    gh.mul(s1).store_n(outs[2].add(i), r);
+}
+
 // ---------------------------------------------------------------------------
-// Blocked GEMM band (AVX2 inner kernel; the scalar twin lives in `dense`)
+// Blocked GEMM band (the scalar twin lives in `dense`)
 // ---------------------------------------------------------------------------
 
-/// AVX2 body of `dense::gemm_band` over one horizontal band of `c`:
-/// identical k-panel structure to the scalar kernel, with the innermost
-/// j loop vectorised 4-wide and the 4 k-step updates applied as FMAs in
-/// ascending k order (so per-element accumulation order is unchanged and
-/// band splits stay bit-invariant). Rows are processed in pairs sharing
-/// one set of B-row vector loads — each C element still sees exactly the
-/// same FMA sequence as the single-row kernel, so pairing changes
-/// nothing numerically, it only halves B load traffic.
+entry_points!(
+    pub(crate) gemm_band_avx2,
+    gemm_band_avx512 = gemm_band_vec(
+        alpha: f64,
+        a: &[f64],
+        kdim: usize,
+        b: &[f64],
+        n: usize,
+        kc: usize,
+        row0: usize,
+        cband: &mut [f64]
+    )
+);
+
+/// Vector body of `dense::gemm_band` over one horizontal band of `c`:
+/// the scalar kernel's k-panel structure, with the innermost j loop
+/// vectorised and each k-quad applied as FMAs in ascending k order, so
+/// per-element accumulation order is unchanged and band splits stay
+/// bit-invariant. Rows go in pairs sharing one set of B vector loads:
+/// each C element still sees exactly the FMA chain of a lone row, so
+/// pairing only halves B load traffic. The masked column tail gives its
+/// live lanes the same chain, so an element's value is independent of
+/// its column position (batched multi-model layouts regroup columns and
+/// rely on this).
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available, `a` is `(row0 + rows) ×
+/// The tier's CPU features must be available, `a` is `(row0 + rows) ×
 /// kdim` row-major (at least), `b` is `kdim × n`, and `cband.len()` is a
 /// multiple of `n`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_band_avx2(
+#[inline(always)]
+unsafe fn gemm_band_vec<L: Lane>(
     alpha: f64,
     a: &[f64],
     kdim: usize,
@@ -1018,952 +1376,156 @@ pub(crate) unsafe fn gemm_band_avx2(
     cband: &mut [f64],
 ) {
     let rows = cband.len() / n;
-    let pb = b.as_ptr();
+    let (pa, pb, pc) = (a.as_ptr().add(row0 * kdim), b.as_ptr(), cband.as_mut_ptr());
     let mut k0 = 0;
     while k0 < kdim {
         let kend = (k0 + kc).min(kdim);
         let mut ri = 0;
         while ri + 2 <= rows {
-            let arow0 = &a[(row0 + ri) * kdim..(row0 + ri + 1) * kdim];
-            let arow1 = &a[(row0 + ri + 1) * kdim..(row0 + ri + 2) * kdim];
-            let (crow0, crow1) = cband[ri * n..(ri + 2) * n].split_at_mut(n);
-            gemm_rowpair_avx2(alpha, arow0, arow1, pb, n, k0, kend, crow0, crow1);
+            gemm_panel::<L>(
+                2,
+                alpha,
+                pa.add(ri * kdim),
+                kdim,
+                pb,
+                n,
+                k0,
+                kend,
+                pc.add(ri * n),
+            );
             ri += 2;
         }
-        while ri < rows {
-            let arow = &a[(row0 + ri) * kdim..(row0 + ri + 1) * kdim];
-            let crow = &mut cband[ri * n..(ri + 1) * n];
-            gemm_row_avx2(alpha, arow, pb, n, k0, kend, crow);
-            ri += 1;
+        if ri < rows {
+            gemm_panel::<L>(
+                1,
+                alpha,
+                pa.add(ri * kdim),
+                kdim,
+                pb,
+                n,
+                k0,
+                kend,
+                pc.add(ri * n),
+            );
         }
         k0 = kend;
     }
 }
 
-/// Two-row micro-kernel of [`gemm_band_avx2`]: one k-panel of two C rows,
-/// every B vector loaded once and fed to both rows' accumulator chains.
-/// Per-element FMA order (ascending k within the quad) matches
-/// [`gemm_row_avx2`] exactly.
+/// One k-panel `k0..kend` of `rows` (1 or 2, a constant at each call
+/// site) consecutive C rows at `pc`, whose A rows start at `pa`: k-quads,
+/// then single k steps.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_rowpair_avx2(
+#[inline(always)]
+unsafe fn gemm_panel<L: Lane>(
+    rows: usize,
     alpha: f64,
-    arow0: &[f64],
-    arow1: &[f64],
+    pa: *const f64,
+    kdim: usize,
     pb: *const f64,
     n: usize,
     k0: usize,
     kend: usize,
-    crow0: &mut [f64],
-    crow1: &mut [f64],
+    pc: *mut f64,
 ) {
-    let pc0 = crow0.as_mut_ptr();
-    let pc1 = crow1.as_mut_ptr();
     let mut k = k0;
     while k + 4 <= kend {
-        let f00 = alpha * arow0[k];
-        let f01 = alpha * arow0[k + 1];
-        let f02 = alpha * arow0[k + 2];
-        let f03 = alpha * arow0[k + 3];
-        let f10 = alpha * arow1[k];
-        let f11 = alpha * arow1[k + 1];
-        let f12 = alpha * arow1[k + 2];
-        let f13 = alpha * arow1[k + 3];
-        let u0 = _mm256_set1_pd(f00);
-        let u1 = _mm256_set1_pd(f01);
-        let u2 = _mm256_set1_pd(f02);
-        let u3 = _mm256_set1_pd(f03);
-        let w0 = _mm256_set1_pd(f10);
-        let w1 = _mm256_set1_pd(f11);
-        let w2 = _mm256_set1_pd(f12);
-        let w3 = _mm256_set1_pd(f13);
-        let b0 = pb.add(k * n);
-        let b1 = pb.add((k + 1) * n);
-        let b2 = pb.add((k + 2) * n);
-        let b3 = pb.add((k + 3) * n);
-        let mut j = 0;
-        // 2 rows × 16 columns per step: 32 FMAs against 16 shared B loads
-        // plus 8 C loads/stores. Eight independent accumulator chains keep
-        // both FMA ports busy despite the 4-deep dependent chain each C
-        // vector carries (k, k+1, k+2, k+3 applied in order per element).
-        while j + 16 <= n {
-            let mut c00 = _mm256_loadu_pd(pc0.add(j));
-            let mut c01 = _mm256_loadu_pd(pc0.add(j + 4));
-            let mut c02 = _mm256_loadu_pd(pc0.add(j + 8));
-            let mut c03 = _mm256_loadu_pd(pc0.add(j + 12));
-            let mut c10 = _mm256_loadu_pd(pc1.add(j));
-            let mut c11 = _mm256_loadu_pd(pc1.add(j + 4));
-            let mut c12 = _mm256_loadu_pd(pc1.add(j + 8));
-            let mut c13 = _mm256_loadu_pd(pc1.add(j + 12));
-            let bv = _mm256_loadu_pd(b0.add(j));
-            c00 = _mm256_fmadd_pd(u0, bv, c00);
-            c10 = _mm256_fmadd_pd(w0, bv, c10);
-            let bv = _mm256_loadu_pd(b0.add(j + 4));
-            c01 = _mm256_fmadd_pd(u0, bv, c01);
-            c11 = _mm256_fmadd_pd(w0, bv, c11);
-            let bv = _mm256_loadu_pd(b0.add(j + 8));
-            c02 = _mm256_fmadd_pd(u0, bv, c02);
-            c12 = _mm256_fmadd_pd(w0, bv, c12);
-            let bv = _mm256_loadu_pd(b0.add(j + 12));
-            c03 = _mm256_fmadd_pd(u0, bv, c03);
-            c13 = _mm256_fmadd_pd(w0, bv, c13);
-            let bv = _mm256_loadu_pd(b1.add(j));
-            c00 = _mm256_fmadd_pd(u1, bv, c00);
-            c10 = _mm256_fmadd_pd(w1, bv, c10);
-            let bv = _mm256_loadu_pd(b1.add(j + 4));
-            c01 = _mm256_fmadd_pd(u1, bv, c01);
-            c11 = _mm256_fmadd_pd(w1, bv, c11);
-            let bv = _mm256_loadu_pd(b1.add(j + 8));
-            c02 = _mm256_fmadd_pd(u1, bv, c02);
-            c12 = _mm256_fmadd_pd(w1, bv, c12);
-            let bv = _mm256_loadu_pd(b1.add(j + 12));
-            c03 = _mm256_fmadd_pd(u1, bv, c03);
-            c13 = _mm256_fmadd_pd(w1, bv, c13);
-            let bv = _mm256_loadu_pd(b2.add(j));
-            c00 = _mm256_fmadd_pd(u2, bv, c00);
-            c10 = _mm256_fmadd_pd(w2, bv, c10);
-            let bv = _mm256_loadu_pd(b2.add(j + 4));
-            c01 = _mm256_fmadd_pd(u2, bv, c01);
-            c11 = _mm256_fmadd_pd(w2, bv, c11);
-            let bv = _mm256_loadu_pd(b2.add(j + 8));
-            c02 = _mm256_fmadd_pd(u2, bv, c02);
-            c12 = _mm256_fmadd_pd(w2, bv, c12);
-            let bv = _mm256_loadu_pd(b2.add(j + 12));
-            c03 = _mm256_fmadd_pd(u2, bv, c03);
-            c13 = _mm256_fmadd_pd(w2, bv, c13);
-            let bv = _mm256_loadu_pd(b3.add(j));
-            c00 = _mm256_fmadd_pd(u3, bv, c00);
-            c10 = _mm256_fmadd_pd(w3, bv, c10);
-            let bv = _mm256_loadu_pd(b3.add(j + 4));
-            c01 = _mm256_fmadd_pd(u3, bv, c01);
-            c11 = _mm256_fmadd_pd(w3, bv, c11);
-            let bv = _mm256_loadu_pd(b3.add(j + 8));
-            c02 = _mm256_fmadd_pd(u3, bv, c02);
-            c12 = _mm256_fmadd_pd(w3, bv, c12);
-            let bv = _mm256_loadu_pd(b3.add(j + 12));
-            c03 = _mm256_fmadd_pd(u3, bv, c03);
-            c13 = _mm256_fmadd_pd(w3, bv, c13);
-            _mm256_storeu_pd(pc0.add(j), c00);
-            _mm256_storeu_pd(pc0.add(j + 4), c01);
-            _mm256_storeu_pd(pc0.add(j + 8), c02);
-            _mm256_storeu_pd(pc0.add(j + 12), c03);
-            _mm256_storeu_pd(pc1.add(j), c10);
-            _mm256_storeu_pd(pc1.add(j + 4), c11);
-            _mm256_storeu_pd(pc1.add(j + 8), c12);
-            _mm256_storeu_pd(pc1.add(j + 12), c13);
-            j += 16;
-        }
-        while j + 8 <= n {
-            let mut c00 = _mm256_loadu_pd(pc0.add(j));
-            let mut c01 = _mm256_loadu_pd(pc0.add(j + 4));
-            let mut c10 = _mm256_loadu_pd(pc1.add(j));
-            let mut c11 = _mm256_loadu_pd(pc1.add(j + 4));
-            let bv = _mm256_loadu_pd(b0.add(j));
-            let bw = _mm256_loadu_pd(b0.add(j + 4));
-            c00 = _mm256_fmadd_pd(u0, bv, c00);
-            c10 = _mm256_fmadd_pd(w0, bv, c10);
-            c01 = _mm256_fmadd_pd(u0, bw, c01);
-            c11 = _mm256_fmadd_pd(w0, bw, c11);
-            let bv = _mm256_loadu_pd(b1.add(j));
-            let bw = _mm256_loadu_pd(b1.add(j + 4));
-            c00 = _mm256_fmadd_pd(u1, bv, c00);
-            c10 = _mm256_fmadd_pd(w1, bv, c10);
-            c01 = _mm256_fmadd_pd(u1, bw, c01);
-            c11 = _mm256_fmadd_pd(w1, bw, c11);
-            let bv = _mm256_loadu_pd(b2.add(j));
-            let bw = _mm256_loadu_pd(b2.add(j + 4));
-            c00 = _mm256_fmadd_pd(u2, bv, c00);
-            c10 = _mm256_fmadd_pd(w2, bv, c10);
-            c01 = _mm256_fmadd_pd(u2, bw, c01);
-            c11 = _mm256_fmadd_pd(w2, bw, c11);
-            let bv = _mm256_loadu_pd(b3.add(j));
-            let bw = _mm256_loadu_pd(b3.add(j + 4));
-            c00 = _mm256_fmadd_pd(u3, bv, c00);
-            c10 = _mm256_fmadd_pd(w3, bv, c10);
-            c01 = _mm256_fmadd_pd(u3, bw, c01);
-            c11 = _mm256_fmadd_pd(w3, bw, c11);
-            _mm256_storeu_pd(pc0.add(j), c00);
-            _mm256_storeu_pd(pc0.add(j + 4), c01);
-            _mm256_storeu_pd(pc1.add(j), c10);
-            _mm256_storeu_pd(pc1.add(j + 4), c11);
-            j += 8;
-        }
-        while j + 4 <= n {
-            let mut c0 = _mm256_loadu_pd(pc0.add(j));
-            let mut c1 = _mm256_loadu_pd(pc1.add(j));
-            let bv = _mm256_loadu_pd(b0.add(j));
-            c0 = _mm256_fmadd_pd(u0, bv, c0);
-            c1 = _mm256_fmadd_pd(w0, bv, c1);
-            let bv = _mm256_loadu_pd(b1.add(j));
-            c0 = _mm256_fmadd_pd(u1, bv, c0);
-            c1 = _mm256_fmadd_pd(w1, bv, c1);
-            let bv = _mm256_loadu_pd(b2.add(j));
-            c0 = _mm256_fmadd_pd(u2, bv, c0);
-            c1 = _mm256_fmadd_pd(w2, bv, c1);
-            let bv = _mm256_loadu_pd(b3.add(j));
-            c0 = _mm256_fmadd_pd(u3, bv, c0);
-            c1 = _mm256_fmadd_pd(w3, bv, c1);
-            _mm256_storeu_pd(pc0.add(j), c0);
-            _mm256_storeu_pd(pc1.add(j), c1);
-            j += 4;
-        }
-        // Scalar-FMA column tail: the same ascending-k fma chain the
-        // vector lanes apply, so an element's value is independent of
-        // its column position relative to the vector width (batched
-        // multi-model layouts regroup columns and rely on this).
-        while j < n {
-            let b0j = *b0.add(j);
-            let b1j = *b1.add(j);
-            let b2j = *b2.add(j);
-            let b3j = *b3.add(j);
-            crow0[j] = f03.mul_add(
-                b3j,
-                f02.mul_add(b2j, f01.mul_add(b1j, f00.mul_add(b0j, crow0[j]))),
-            );
-            crow1[j] = f13.mul_add(
-                b3j,
-                f12.mul_add(b2j, f11.mul_add(b1j, f10.mul_add(b0j, crow1[j]))),
-            );
-            j += 1;
-        }
+        gemm_ksteps::<L>(rows, 4, alpha, pa.add(k), kdim, pb.add(k * n), n, pc);
         k += 4;
     }
     while k < kend {
-        let f0 = alpha * arow0[k];
-        let f1 = alpha * arow1[k];
-        let fv0 = _mm256_set1_pd(f0);
-        let fv1 = _mm256_set1_pd(f1);
-        let bk = pb.add(k * n);
-        let mut j = 0;
-        while j + 4 <= n {
-            let bv = _mm256_loadu_pd(bk.add(j));
-            let c0 = _mm256_fmadd_pd(fv0, bv, _mm256_loadu_pd(pc0.add(j)));
-            let c1 = _mm256_fmadd_pd(fv1, bv, _mm256_loadu_pd(pc1.add(j)));
-            _mm256_storeu_pd(pc0.add(j), c0);
-            _mm256_storeu_pd(pc1.add(j), c1);
-            j += 4;
-        }
-        while j < n {
-            let bkj = *bk.add(j);
-            crow0[j] = f0.mul_add(bkj, crow0[j]);
-            crow1[j] = f1.mul_add(bkj, crow1[j]);
-            j += 1;
-        }
+        gemm_ksteps::<L>(rows, 1, alpha, pa.add(k), kdim, pb.add(k * n), n, pc);
         k += 1;
     }
 }
 
-/// Single-row micro-kernel of [`gemm_band_avx2`] (odd tail row): one
-/// k-panel of one C row.
+/// Applies `kq` (1 or 4) consecutive k steps to `rows` (1 or 2) C rows,
+/// both constants at each call site: every element gets
+/// `c = fma(α·a_ik, b_kj, c)` for ascending k. `pa` is A at (row 0,
+/// first k) with row stride `kdim`; `pb` is B at (first k, column 0) and
+/// `pc` is C at (row 0, column 0), both with row stride `n`. Columns go
+/// 16 at a time (16/W vectors per row: independent accumulator chains
+/// that hide the FMA latency), then one vector at a time, then under a
+/// mask.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_row_avx2(
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[inline(always)]
+unsafe fn gemm_ksteps<L: Lane>(
+    rows: usize,
+    kq: usize,
     alpha: f64,
-    arow: &[f64],
+    pa: *const f64,
+    kdim: usize,
     pb: *const f64,
     n: usize,
-    k0: usize,
-    kend: usize,
-    crow: &mut [f64],
+    pc: *mut f64,
 ) {
-    let pc = crow.as_mut_ptr();
-    let mut k = k0;
-    while k + 4 <= kend {
-        let f0 = alpha * arow[k];
-        let f1 = alpha * arow[k + 1];
-        let f2 = alpha * arow[k + 2];
-        let f3 = alpha * arow[k + 3];
-        let (v0, v1, v2, v3) = (
-            _mm256_set1_pd(f0),
-            _mm256_set1_pd(f1),
-            _mm256_set1_pd(f2),
-            _mm256_set1_pd(f3),
-        );
-        let b0 = pb.add(k * n);
-        let b1 = pb.add((k + 1) * n);
-        let b2 = pb.add((k + 2) * n);
-        let b3 = pb.add((k + 3) * n);
-        let mut j = 0;
-        // Four independent column chains per step: each chain still
-        // applies k, k+1, k+2, k+3 in order (bit-identical per
-        // element), but the chains overlap so the serial FMA
-        // latency of one chain is hidden behind the other three.
-        while j + 16 <= n {
-            let mut c0 = _mm256_loadu_pd(pc.add(j));
-            let mut c1 = _mm256_loadu_pd(pc.add(j + 4));
-            let mut c2 = _mm256_loadu_pd(pc.add(j + 8));
-            let mut c3 = _mm256_loadu_pd(pc.add(j + 12));
-            c0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0.add(j)), c0);
-            c1 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0.add(j + 4)), c1);
-            c2 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0.add(j + 8)), c2);
-            c3 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0.add(j + 12)), c3);
-            c0 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1.add(j)), c0);
-            c1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1.add(j + 4)), c1);
-            c2 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1.add(j + 8)), c2);
-            c3 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1.add(j + 12)), c3);
-            c0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2.add(j)), c0);
-            c1 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2.add(j + 4)), c1);
-            c2 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2.add(j + 8)), c2);
-            c3 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2.add(j + 12)), c3);
-            c0 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3.add(j)), c0);
-            c1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3.add(j + 4)), c1);
-            c2 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3.add(j + 8)), c2);
-            c3 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3.add(j + 12)), c3);
-            _mm256_storeu_pd(pc.add(j), c0);
-            _mm256_storeu_pd(pc.add(j + 4), c1);
-            _mm256_storeu_pd(pc.add(j + 8), c2);
-            _mm256_storeu_pd(pc.add(j + 12), c3);
-            j += 16;
+    let mut f = [[L::splat(0.0); 4]; 2];
+    for i in 0..rows {
+        for q in 0..kq {
+            f[i][q] = L::splat(alpha * *pa.add(i * kdim + q));
         }
-        while j + 4 <= n {
-            let mut cv = _mm256_loadu_pd(pc.add(j));
-            cv = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0.add(j)), cv);
-            cv = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1.add(j)), cv);
-            cv = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2.add(j)), cv);
-            cv = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3.add(j)), cv);
-            _mm256_storeu_pd(pc.add(j), cv);
-            j += 4;
-        }
-        // Scalar-FMA column tail (same ascending-k chain as the lanes).
-        while j < n {
-            crow[j] = f3.mul_add(
-                *b3.add(j),
-                f2.mul_add(
-                    *b2.add(j),
-                    f1.mul_add(*b1.add(j), f0.mul_add(*b0.add(j), crow[j])),
-                ),
-            );
-            j += 1;
-        }
-        k += 4;
     }
-    while k < kend {
-        let f = alpha * arow[k];
-        let fv = _mm256_set1_pd(f);
-        let bk = pb.add(k * n);
-        let mut j = 0;
-        while j + 4 <= n {
-            let cv = _mm256_fmadd_pd(fv, _mm256_loadu_pd(bk.add(j)), _mm256_loadu_pd(pc.add(j)));
-            _mm256_storeu_pd(pc.add(j), cv);
-            j += 4;
-        }
-        while j < n {
-            crow[j] = f.mul_add(*bk.add(j), crow[j]);
-            j += 1;
-        }
-        k += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512 `f64×8` twins
-// ---------------------------------------------------------------------------
-
-/// Folds an 8-lane accumulator by halving: the two 256-bit halves are
-/// added lane-wise, then folded with [`hsum`]'s `(l0+l2) + (l1+l3)`
-/// association. A different fold than the 4-lane tiers — covered by the
-/// cross-tier `1e-12` reduction bound, not bit-identity.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2")]
-unsafe fn hsum8(v: __m512d) -> f64 {
-    let lo = _mm512_castpd512_pd256(v);
-    let hi = _mm512_extractf64x4_pd::<1>(v);
-    hsum(_mm256_add_pd(lo, hi))
-}
-
-/// Remainder mask for the low `rem` lanes of a `f64×8` vector.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn mask8(rem: usize) -> u8 {
-    debug_assert!(rem < 8);
-    (1u8 << rem) - 1
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn dot_avx512(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm512_setzero_pd();
-    let mut i = 0;
-    while i + 8 <= n {
-        acc = _mm512_fmadd_pd(_mm512_loadu_pd(pa.add(i)), _mm512_loadu_pd(pb.add(i)), acc);
-        i += 8;
-    }
-    let mut s = hsum8(acc);
-    while i < n {
-        s += a[i] * b[i];
-        i += 1;
-    }
-    s
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn dist2_avx512(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm512_setzero_pd();
-    let mut i = 0;
-    while i + 8 <= n {
-        let d = _mm512_sub_pd(_mm512_loadu_pd(pa.add(i)), _mm512_loadu_pd(pb.add(i)));
-        acc = _mm512_fmadd_pd(d, d, acc);
-        i += 8;
-    }
-    let mut s = hsum8(acc);
-    while i < n {
-        let d = a[i] - b[i];
-        s += d * d;
-        i += 1;
-    }
-    s
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn dist2_batch_avx512(points: &[f64], dim: usize, q: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let p = points.as_ptr();
+    let nv = 16 / L::W;
     let mut j = 0;
-    // Eight points per step; each point's coordinate chain is the same
-    // ascending-order `fma(d, d, acc)` the scalar-FMA tail performs, so
-    // results are independent of batch position.
-    while j + 8 <= n {
-        let base = j * dim;
-        let mut acc = _mm512_setzero_pd();
-        for (k, &qk) in q.iter().enumerate() {
-            let pk = _mm512_set_pd(
-                *p.add(base + 7 * dim + k),
-                *p.add(base + 6 * dim + k),
-                *p.add(base + 5 * dim + k),
-                *p.add(base + 4 * dim + k),
-                *p.add(base + 3 * dim + k),
-                *p.add(base + 2 * dim + k),
-                *p.add(base + dim + k),
-                *p.add(base + k),
-            );
-            let d = _mm512_sub_pd(pk, _mm512_set1_pd(qk));
-            acc = _mm512_fmadd_pd(d, d, acc);
+    while j + 16 <= n {
+        let mut c = [[L::splat(0.0); 4]; 2];
+        for i in 0..rows {
+            for v in 0..nv {
+                c[i][v] = L::load(pc.add(i * n + j + v * L::W));
+            }
         }
-        _mm512_storeu_pd(out.as_mut_ptr().add(j), acc);
-        j += 8;
-    }
-    while j < n {
-        out[j] = dist2_point_fma(&points[j * dim..(j + 1) * dim], q);
-        j += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn spmv_avx512(
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let px = x.as_ptr();
-    let pc = col_idx.as_ptr();
-    let pv = values.as_ptr();
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-        let mut acc = _mm512_setzero_pd();
-        let mut p = lo;
-        while p + 8 <= hi {
-            let idx = _mm256_loadu_si256(pc.add(p) as *const __m256i);
-            let xv = _mm512_i32gather_pd::<8>(idx, px);
-            acc = _mm512_fmadd_pd(_mm512_loadu_pd(pv.add(p)), xv, acc);
-            p += 8;
+        for q in 0..kq {
+            for v in 0..nv {
+                let bv = L::load(pb.add(q * n + j + v * L::W));
+                for i in 0..rows {
+                    c[i][v] = f[i][q].mul_add(bv, c[i][v]);
+                }
+            }
         }
-        let mut s = hsum8(acc);
-        while p < hi {
-            s += values[p] * x[col_idx[p] as usize];
-            p += 1;
+        for i in 0..rows {
+            for v in 0..nv {
+                c[i][v].store(pc.add(i * n + j + v * L::W));
+            }
         }
-        *yr = s;
+        j += 16;
+    }
+    while j + L::W <= n {
+        gemm_cols::<L>(rows, kq, &f, pb, n, pc, j, L::W);
+        j += L::W;
+    }
+    if j < n {
+        gemm_cols::<L>(rows, kq, &f, pb, n, pc, j, n - j);
     }
 }
 
+/// The `r ≤ W` columns from `j` of [`gemm_ksteps`]: one vector per row.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn axpy_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    let av = _mm512_set1_pd(alpha);
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let yv = _mm512_fmadd_pd(av, _mm512_loadu_pd(px.add(i)), _mm512_loadu_pd(py.add(i)));
-        _mm512_storeu_pd(py.add(i), yv);
-        i += 8;
-    }
-    // Masked remainder: per-lane `fma(alpha, x, y)`, identical to the
-    // full-width lanes and the AVX2 scalar-FMA tail.
-    if i < n {
-        let m = mask8(n - i);
-        let xv = _mm512_maskz_loadu_pd(m, px.add(i));
-        let yv = _mm512_maskz_loadu_pd(m, py.add(i));
-        _mm512_mask_storeu_pd(py.add(i), m, _mm512_fmadd_pd(av, xv, yv));
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn scale_avx512(x: &mut [f64], s: f64) {
-    let n = x.len();
-    let sv = _mm512_set1_pd(s);
-    let px = x.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        _mm512_storeu_pd(px.add(i), _mm512_mul_pd(_mm512_loadu_pd(px.add(i)), sv));
-        i += 8;
-    }
-    if i < n {
-        let m = mask8(n - i);
-        let v = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, px.add(i)), sv);
-        _mm512_mask_storeu_pd(px.add(i), m, v);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn add_assign_avx512(y: &mut [f64], x: &[f64]) {
-    let n = x.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        _mm512_storeu_pd(
-            py.add(i),
-            _mm512_add_pd(_mm512_loadu_pd(py.add(i)), _mm512_loadu_pd(px.add(i))),
-        );
-        i += 8;
-    }
-    if i < n {
-        let m = mask8(n - i);
-        let v = _mm512_add_pd(
-            _mm512_maskz_loadu_pd(m, py.add(i)),
-            _mm512_maskz_loadu_pd(m, px.add(i)),
-        );
-        _mm512_mask_storeu_pd(py.add(i), m, v);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn hadamard_avx512(a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = a.len();
-    let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i + 8 <= n {
-        _mm512_storeu_pd(
-            po.add(i),
-            _mm512_mul_pd(_mm512_loadu_pd(pa.add(i)), _mm512_loadu_pd(pb.add(i))),
-        );
-        i += 8;
-    }
-    if i < n {
-        let m = mask8(n - i);
-        let v = _mm512_mul_pd(
-            _mm512_maskz_loadu_pd(m, pa.add(i)),
-            _mm512_maskz_loadu_pd(m, pb.add(i)),
-        );
-        _mm512_mask_storeu_pd(po.add(i), m, v);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn adam_update_avx512(
-    p: &mut [f64],
-    g: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    b1: f64,
-    b2: f64,
-    bc1: f64,
-    bc2: f64,
-    lr: f64,
-    eps: f64,
-) {
-    let n = p.len();
-    let (b1v, b2v) = (_mm512_set1_pd(b1), _mm512_set1_pd(b2));
-    let (c1v, c2v) = (_mm512_set1_pd(1.0 - b1), _mm512_set1_pd(1.0 - b2));
-    let (bc1v, bc2v) = (_mm512_set1_pd(bc1), _mm512_set1_pd(bc2));
-    let (lrv, epsv) = (_mm512_set1_pd(lr), _mm512_set1_pd(eps));
-    let (pp, pg, pm, pv) = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
-    let mut i = 0;
-    while i + 8 <= n {
-        let gv = _mm512_loadu_pd(pg.add(i));
-        let mv = _mm512_fmadd_pd(b1v, _mm512_loadu_pd(pm.add(i)), _mm512_mul_pd(c1v, gv));
-        let vv = _mm512_fmadd_pd(
-            b2v,
-            _mm512_loadu_pd(pv.add(i)),
-            _mm512_mul_pd(_mm512_mul_pd(c2v, gv), gv),
-        );
-        _mm512_storeu_pd(pm.add(i), mv);
-        _mm512_storeu_pd(pv.add(i), vv);
-        let mh = _mm512_div_pd(mv, bc1v);
-        let vh = _mm512_div_pd(vv, bc2v);
-        let denom = _mm512_add_pd(_mm512_sqrt_pd(vh), epsv);
-        let step = _mm512_div_pd(_mm512_mul_pd(lrv, mh), denom);
-        _mm512_storeu_pd(pp.add(i), _mm512_sub_pd(_mm512_loadu_pd(pp.add(i)), step));
-        i += 8;
-    }
-    // Scalar-FMA tail replaying the exact lane computation.
-    while i < n {
-        m[i] = b1.mul_add(m[i], (1.0 - b1) * g[i]);
-        v[i] = b2.mul_add(v[i], ((1.0 - b2) * g[i]) * g[i]);
-        let mh = m[i] / bc1;
-        let vh = v[i] / bc2;
-        p[i] -= lr * mh / (vh.sqrt() + eps);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn act_fwd_jh_avx512(
-    s1: &[f64],
-    s2: &[f64],
-    zj: &[f64],
-    zh: &[f64],
-    j_out: &mut [f64],
-    h_out: &mut [f64],
-) {
-    let n = s1.len();
-    let (p1, p2, pj, ph) = (s1.as_ptr(), s2.as_ptr(), zj.as_ptr(), zh.as_ptr());
-    let (pjo, pho) = (j_out.as_mut_ptr(), h_out.as_mut_ptr());
-    let mut i = 0;
-    while i + 8 <= n {
-        let s1v = _mm512_loadu_pd(p1.add(i));
-        let s2v = _mm512_loadu_pd(p2.add(i));
-        let zjv = _mm512_loadu_pd(pj.add(i));
-        let zhv = _mm512_loadu_pd(ph.add(i));
-        _mm512_storeu_pd(pjo.add(i), _mm512_mul_pd(s1v, zjv));
-        let h = _mm512_fmadd_pd(_mm512_mul_pd(s2v, zjv), zjv, _mm512_mul_pd(s1v, zhv));
-        _mm512_storeu_pd(pho.add(i), h);
-        i += 8;
-    }
-    while i < n {
-        j_out[i] = s1[i] * zj[i];
-        h_out[i] = (s2[i] * zj[i]).mul_add(zj[i], s1[i] * zh[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn act_bwd_accum_avx512(
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    zj: &[f64],
-    zh: &[f64],
-    gj: &[f64],
-    gh: &[f64],
-    gz: &mut [f64],
-    gzj: &mut [f64],
-    gzh: &mut [f64],
-) {
-    let n = s1.len();
-    let two = _mm512_set1_pd(2.0);
-    let mut i = 0;
-    while i + 8 <= n {
-        let s1v = _mm512_loadu_pd(s1.as_ptr().add(i));
-        let s2v = _mm512_loadu_pd(s2.as_ptr().add(i));
-        let s3v = _mm512_loadu_pd(s3.as_ptr().add(i));
-        let zjv = _mm512_loadu_pd(zj.as_ptr().add(i));
-        let zhv = _mm512_loadu_pd(zh.as_ptr().add(i));
-        let gjv = _mm512_loadu_pd(gj.as_ptr().add(i));
-        let ghv = _mm512_loadu_pd(gh.as_ptr().add(i));
-        let t1 = _mm512_mul_pd(_mm512_mul_pd(gjv, s2v), zjv);
-        let t2 = _mm512_fmadd_pd(_mm512_mul_pd(s3v, zjv), zjv, _mm512_mul_pd(s2v, zhv));
-        let sum = _mm512_fmadd_pd(ghv, t2, t1);
-        let gzv = _mm512_add_pd(_mm512_loadu_pd(gz.as_ptr().add(i)), sum);
-        _mm512_storeu_pd(gz.as_mut_ptr().add(i), gzv);
-        let gzjv = _mm512_fmadd_pd(
-            _mm512_mul_pd(_mm512_mul_pd(ghv, two), s2v),
-            zjv,
-            _mm512_mul_pd(gjv, s1v),
-        );
-        _mm512_storeu_pd(gzj.as_mut_ptr().add(i), gzjv);
-        _mm512_storeu_pd(gzh.as_mut_ptr().add(i), _mm512_mul_pd(ghv, s1v));
-        i += 8;
-    }
-    while i < n {
-        let t1 = (gj[i] * s2[i]) * zj[i];
-        let t2 = (s3[i] * zj[i]).mul_add(zj[i], s2[i] * zh[i]);
-        gz[i] += gh[i].mul_add(t2, t1);
-        gzj[i] = ((gh[i] * 2.0) * s2[i]).mul_add(zj[i], gj[i] * s1[i]);
-        gzh[i] = gh[i] * s1[i];
-        i += 1;
-    }
-}
-
-/// AVX-512 body of `dense::gemm_band`: the same k-panel / row-pair
-/// structure as [`gemm_band_avx2`] widened to `f64×8`, with masked
-/// column tails whose per-lane fma chain is identical to the full
-/// vectors — every C element sees the ascending-k FMA sequence
-/// regardless of column position, so band splits stay bit-invariant
-/// within the tier.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available and the same shape
-/// preconditions as [`gemm_band_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_band_avx512(
-    alpha: f64,
-    a: &[f64],
-    kdim: usize,
-    b: &[f64],
-    n: usize,
-    kc: usize,
-    row0: usize,
-    cband: &mut [f64],
-) {
-    let rows = cband.len() / n;
-    let pb = b.as_ptr();
-    let mut k0 = 0;
-    while k0 < kdim {
-        let kend = (k0 + kc).min(kdim);
-        let mut ri = 0;
-        while ri + 2 <= rows {
-            let arow0 = &a[(row0 + ri) * kdim..(row0 + ri + 1) * kdim];
-            let arow1 = &a[(row0 + ri + 1) * kdim..(row0 + ri + 2) * kdim];
-            let (crow0, crow1) = cband[ri * n..(ri + 2) * n].split_at_mut(n);
-            gemm_rowpair_avx512(alpha, arow0, arow1, pb, n, k0, kend, crow0, crow1);
-            ri += 2;
-        }
-        while ri < rows {
-            let arow = &a[(row0 + ri) * kdim..(row0 + ri + 1) * kdim];
-            let crow = &mut cband[ri * n..(ri + 1) * n];
-            gemm_row_avx512(alpha, arow, pb, n, k0, kend, crow);
-            ri += 1;
-        }
-        k0 = kend;
-    }
-}
-
-/// Two-row `f64×8` micro-kernel of [`gemm_band_avx512`]: 2 rows × 16
-/// columns per step (4 accumulator chains against 2 shared B loads per
-/// k), k-quads applied in ascending order per element.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_rowpair_avx512(
-    alpha: f64,
-    arow0: &[f64],
-    arow1: &[f64],
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[inline(always)]
+unsafe fn gemm_cols<L: Lane>(
+    rows: usize,
+    kq: usize,
+    f: &[[L; 4]; 2],
     pb: *const f64,
     n: usize,
-    k0: usize,
-    kend: usize,
-    crow0: &mut [f64],
-    crow1: &mut [f64],
+    pc: *mut f64,
+    j: usize,
+    r: usize,
 ) {
-    let pc0 = crow0.as_mut_ptr();
-    let pc1 = crow1.as_mut_ptr();
-    let mut k = k0;
-    while k + 4 <= kend {
-        let f0 = [
-            alpha * arow0[k],
-            alpha * arow0[k + 1],
-            alpha * arow0[k + 2],
-            alpha * arow0[k + 3],
-        ];
-        let f1 = [
-            alpha * arow1[k],
-            alpha * arow1[k + 1],
-            alpha * arow1[k + 2],
-            alpha * arow1[k + 3],
-        ];
-        let u = [
-            _mm512_set1_pd(f0[0]),
-            _mm512_set1_pd(f0[1]),
-            _mm512_set1_pd(f0[2]),
-            _mm512_set1_pd(f0[3]),
-        ];
-        let w = [
-            _mm512_set1_pd(f1[0]),
-            _mm512_set1_pd(f1[1]),
-            _mm512_set1_pd(f1[2]),
-            _mm512_set1_pd(f1[3]),
-        ];
-        let bp = [
-            pb.add(k * n),
-            pb.add((k + 1) * n),
-            pb.add((k + 2) * n),
-            pb.add((k + 3) * n),
-        ];
-        let mut j = 0;
-        // 2 rows × 16 columns per step: 4 independent accumulator
-        // chains, each applying k, k+1, k+2, k+3 in order per element.
-        while j + 16 <= n {
-            let mut c00 = _mm512_loadu_pd(pc0.add(j));
-            let mut c01 = _mm512_loadu_pd(pc0.add(j + 8));
-            let mut c10 = _mm512_loadu_pd(pc1.add(j));
-            let mut c11 = _mm512_loadu_pd(pc1.add(j + 8));
-            for q in 0..4 {
-                let bv = _mm512_loadu_pd(bp[q].add(j));
-                let bw = _mm512_loadu_pd(bp[q].add(j + 8));
-                c00 = _mm512_fmadd_pd(u[q], bv, c00);
-                c10 = _mm512_fmadd_pd(w[q], bv, c10);
-                c01 = _mm512_fmadd_pd(u[q], bw, c01);
-                c11 = _mm512_fmadd_pd(w[q], bw, c11);
-            }
-            _mm512_storeu_pd(pc0.add(j), c00);
-            _mm512_storeu_pd(pc0.add(j + 8), c01);
-            _mm512_storeu_pd(pc1.add(j), c10);
-            _mm512_storeu_pd(pc1.add(j + 8), c11);
-            j += 16;
-        }
-        while j + 8 <= n {
-            let mut c0 = _mm512_loadu_pd(pc0.add(j));
-            let mut c1 = _mm512_loadu_pd(pc1.add(j));
-            for q in 0..4 {
-                let bv = _mm512_loadu_pd(bp[q].add(j));
-                c0 = _mm512_fmadd_pd(u[q], bv, c0);
-                c1 = _mm512_fmadd_pd(w[q], bv, c1);
-            }
-            _mm512_storeu_pd(pc0.add(j), c0);
-            _mm512_storeu_pd(pc1.add(j), c1);
-            j += 8;
-        }
-        if j < n {
-            // Masked column tail: zero-filled B lanes feed `fma(f, 0,
-            // c)` into masked-out lanes that are never stored, and live
-            // lanes see the identical ascending-k chain.
-            let mk = mask8(n - j);
-            let mut c0 = _mm512_maskz_loadu_pd(mk, pc0.add(j));
-            let mut c1 = _mm512_maskz_loadu_pd(mk, pc1.add(j));
-            for q in 0..4 {
-                let bv = _mm512_maskz_loadu_pd(mk, bp[q].add(j));
-                c0 = _mm512_fmadd_pd(u[q], bv, c0);
-                c1 = _mm512_fmadd_pd(w[q], bv, c1);
-            }
-            _mm512_mask_storeu_pd(pc0.add(j), mk, c0);
-            _mm512_mask_storeu_pd(pc1.add(j), mk, c1);
-        }
-        k += 4;
+    let mut c = [L::splat(0.0); 2];
+    for i in 0..rows {
+        c[i] = L::load_n(pc.add(i * n + j), r);
     }
-    while k < kend {
-        let g0 = alpha * arow0[k];
-        let g1 = alpha * arow1[k];
-        let fv0 = _mm512_set1_pd(g0);
-        let fv1 = _mm512_set1_pd(g1);
-        let bk = pb.add(k * n);
-        let mut j = 0;
-        while j + 8 <= n {
-            let bv = _mm512_loadu_pd(bk.add(j));
-            let c0 = _mm512_fmadd_pd(fv0, bv, _mm512_loadu_pd(pc0.add(j)));
-            let c1 = _mm512_fmadd_pd(fv1, bv, _mm512_loadu_pd(pc1.add(j)));
-            _mm512_storeu_pd(pc0.add(j), c0);
-            _mm512_storeu_pd(pc1.add(j), c1);
-            j += 8;
+    for q in 0..kq {
+        let bv = L::load_n(pb.add(q * n + j), r);
+        for i in 0..rows {
+            c[i] = f[i][q].mul_add(bv, c[i]);
         }
-        if j < n {
-            let mk = mask8(n - j);
-            let bv = _mm512_maskz_loadu_pd(mk, bk.add(j));
-            let c0 = _mm512_fmadd_pd(fv0, bv, _mm512_maskz_loadu_pd(mk, pc0.add(j)));
-            let c1 = _mm512_fmadd_pd(fv1, bv, _mm512_maskz_loadu_pd(mk, pc1.add(j)));
-            _mm512_mask_storeu_pd(pc0.add(j), mk, c0);
-            _mm512_mask_storeu_pd(pc1.add(j), mk, c1);
-        }
-        k += 1;
     }
-}
-
-/// Single-row `f64×8` micro-kernel of [`gemm_band_avx512`] (odd tail
-/// row).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn gemm_row_avx512(
-    alpha: f64,
-    arow: &[f64],
-    pb: *const f64,
-    n: usize,
-    k0: usize,
-    kend: usize,
-    crow: &mut [f64],
-) {
-    let pc = crow.as_mut_ptr();
-    let mut k = k0;
-    while k + 4 <= kend {
-        let f = [
-            alpha * arow[k],
-            alpha * arow[k + 1],
-            alpha * arow[k + 2],
-            alpha * arow[k + 3],
-        ];
-        let u = [
-            _mm512_set1_pd(f[0]),
-            _mm512_set1_pd(f[1]),
-            _mm512_set1_pd(f[2]),
-            _mm512_set1_pd(f[3]),
-        ];
-        let bp = [
-            pb.add(k * n),
-            pb.add((k + 1) * n),
-            pb.add((k + 2) * n),
-            pb.add((k + 3) * n),
-        ];
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut c0 = _mm512_loadu_pd(pc.add(j));
-            let mut c1 = _mm512_loadu_pd(pc.add(j + 8));
-            for q in 0..4 {
-                c0 = _mm512_fmadd_pd(u[q], _mm512_loadu_pd(bp[q].add(j)), c0);
-                c1 = _mm512_fmadd_pd(u[q], _mm512_loadu_pd(bp[q].add(j + 8)), c1);
-            }
-            _mm512_storeu_pd(pc.add(j), c0);
-            _mm512_storeu_pd(pc.add(j + 8), c1);
-            j += 16;
-        }
-        while j + 8 <= n {
-            let mut cv = _mm512_loadu_pd(pc.add(j));
-            for q in 0..4 {
-                cv = _mm512_fmadd_pd(u[q], _mm512_loadu_pd(bp[q].add(j)), cv);
-            }
-            _mm512_storeu_pd(pc.add(j), cv);
-            j += 8;
-        }
-        if j < n {
-            let mk = mask8(n - j);
-            let mut cv = _mm512_maskz_loadu_pd(mk, pc.add(j));
-            for q in 0..4 {
-                cv = _mm512_fmadd_pd(u[q], _mm512_maskz_loadu_pd(mk, bp[q].add(j)), cv);
-            }
-            _mm512_mask_storeu_pd(pc.add(j), mk, cv);
-        }
-        k += 4;
-    }
-    while k < kend {
-        let g = alpha * arow[k];
-        let fv = _mm512_set1_pd(g);
-        let bk = pb.add(k * n);
-        let mut j = 0;
-        while j + 8 <= n {
-            let cv = _mm512_fmadd_pd(fv, _mm512_loadu_pd(bk.add(j)), _mm512_loadu_pd(pc.add(j)));
-            _mm512_storeu_pd(pc.add(j), cv);
-            j += 8;
-        }
-        if j < n {
-            let mk = mask8(n - j);
-            let cv = _mm512_fmadd_pd(
-                fv,
-                _mm512_maskz_loadu_pd(mk, bk.add(j)),
-                _mm512_maskz_loadu_pd(mk, pc.add(j)),
-            );
-            _mm512_mask_storeu_pd(pc.add(j), mk, cv);
-        }
-        k += 1;
+    for i in 0..rows {
+        c[i].store_n(pc.add(i * n + j), r);
     }
 }
 
@@ -2085,18 +1647,8 @@ pub fn bgemm_accum_t(
         return BGEMM_PACK_TL.with(|cell| {
             let mut bp = cell.borrow_mut();
             bgemm_pack_b(lanes, b, kd, n, &mut bp);
-            let (lanes, kd, n) = (bp.lanes, bp.kd, bp.n);
-            // SAFETY: tier checked above; shapes asserted; A strides
-            // address the transposed source.
-            match bp.tier {
-                SimdTier::Avx512 => unsafe {
-                    bgemm_packed_avx512(lanes, at, bp.packed(), c, m, kd, n, lanes, m * lanes)
-                },
-                SimdTier::Avx2 => unsafe {
-                    bgemm_packed_avx2(lanes, at, bp.packed(), c, m, kd, n, lanes, m * lanes)
-                },
-                SimdTier::Scalar => unreachable!(),
-            }
+            // A strides address the transposed source.
+            bgemm_packed(at, &bp, c, m, lanes, m * lanes);
         });
     }
     bgemm_accum_scalar_t(lanes, at, b, c, m, kd, n);
@@ -2132,8 +1684,8 @@ fn bgemm_accum_scalar_t(
 /// roughly half the L2 so the micro-kernel streams from cache while C
 /// round-trips as few times as possible.
 #[cfg(target_arch = "x86_64")]
-fn bgemm_kpanel(n: usize, kd: usize, strip_bytes: usize) -> usize {
-    let denom = n.max(1) * strip_bytes;
+fn bgemm_kpanel<L: Lane>(n: usize, kd: usize) -> usize {
+    let denom = n.max(1) * L::W * 8;
     (512 * 1024 / denom).clamp(16, kd.max(16))
 }
 
@@ -2230,28 +1782,10 @@ pub fn bgemm_pack_b(lanes: usize, b: &[f64], kd: usize, n: usize, into: &mut Pac
     #[cfg(target_arch = "x86_64")]
     match current_tier() {
         SimdTier::Avx512 => {
-            return pack_b_vec(
-                lanes,
-                kd,
-                n,
-                8,
-                |k, j| k * rl + j * lanes,
-                b,
-                into,
-                SimdTier::Avx512,
-            )
+            return pack_b_vec::<Avx512>(lanes, kd, n, |k, j| k * rl + j * lanes, b, into)
         }
         SimdTier::Avx2 => {
-            return pack_b_vec(
-                lanes,
-                kd,
-                n,
-                4,
-                |k, j| k * rl + j * lanes,
-                b,
-                into,
-                SimdTier::Avx2,
-            )
+            return pack_b_vec::<Avx2>(lanes, kd, n, |k, j| k * rl + j * lanes, b, into)
         }
         SimdTier::Scalar => {}
     }
@@ -2278,28 +1812,10 @@ pub fn bgemm_pack_b_t(lanes: usize, w: &[f64], kd: usize, n: usize, into: &mut P
     #[cfg(target_arch = "x86_64")]
     match current_tier() {
         SimdTier::Avx512 => {
-            return pack_b_vec(
-                lanes,
-                kd,
-                n,
-                8,
-                |k, j| j * kl + k * lanes,
-                w,
-                into,
-                SimdTier::Avx512,
-            )
+            return pack_b_vec::<Avx512>(lanes, kd, n, |k, j| j * kl + k * lanes, w, into)
         }
         SimdTier::Avx2 => {
-            return pack_b_vec(
-                lanes,
-                kd,
-                n,
-                4,
-                |k, j| j * kl + k * lanes,
-                w,
-                into,
-                SimdTier::Avx2,
-            )
+            return pack_b_vec::<Avx2>(lanes, kd, n, |k, j| j * kl + k * lanes, w, into)
         }
         SimdTier::Scalar => {}
     }
@@ -2313,22 +1829,21 @@ pub fn bgemm_pack_b_t(lanes: usize, w: &[f64], kd: usize, n: usize, into: &mut P
     into.set_dims(lanes, kd, n, SimdTier::Scalar);
 }
 
-/// Vector-tier pack body: column-block-major sections per (lane strip,
-/// k-panel), k ascending inside, matching what the micro-kernels read.
-/// `src` maps `(k, j)` to the index of lane 0 in the source slice.
+/// Vector-tier pack body: column-block-major sections per (`W`-lane
+/// strip, k-panel), k ascending inside, matching what
+/// [`bgemm_packed_vec`] reads. `src` maps `(k, j)` to the index of
+/// lane 0 in the source slice.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn pack_b_vec(
+fn pack_b_vec<L: Lane>(
     lanes: usize,
     kd: usize,
     n: usize,
-    strip: usize,
     src: impl Fn(usize, usize) -> usize,
     b: &[f64],
     into: &mut PackedB,
-    tier: SimdTier,
 ) {
-    let kc = bgemm_kpanel(n, kd, strip * 8);
+    let strip = L::W;
+    let kc = bgemm_kpanel::<L>(n, kd);
     let nb = n / 4;
     let dst = into.ensure(lanes * kd * n);
     let mut w = 0;
@@ -2355,7 +1870,7 @@ fn pack_b_vec(
             k0 += kn;
         }
     }
-    into.set_dims(lanes, kd, n, tier);
+    into.set_dims(lanes, kd, n, L::TIER);
 }
 
 /// [`bgemm_accum`] against a pre-packed B operand: `C[r][j·L + l] +=
@@ -2377,55 +1892,75 @@ pub fn bgemm_accum_packed(a: &[f64], bp: &PackedB, c: &mut [f64], m: usize) {
         "bgemm_accum_packed: PackedB crossed a SIMD-tier boundary"
     );
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: each vector tier implies its CPU features are available;
-    // the pack recorded matching tier and dimensions.
-    match bp.tier {
-        SimdTier::Avx512 => {
-            return unsafe {
-                bgemm_packed_avx512(lanes, a, bp.packed(), c, m, kd, n, kd * lanes, lanes)
-            }
-        }
-        SimdTier::Avx2 => {
-            return unsafe {
-                bgemm_packed_avx2(lanes, a, bp.packed(), c, m, kd, n, kd * lanes, lanes)
-            }
-        }
-        SimdTier::Scalar => {}
+    if bp.tier != SimdTier::Scalar {
+        return bgemm_packed(a, bp, c, m, kd * lanes, lanes);
     }
     bgemm_accum_scalar(lanes, a, bp.packed(), c, m, kd, n);
 }
 
-/// AVX2 packed-B kernel: BLIS-style k-blocked panels with a 2-row ×
-/// 4-logical-column × 4-lane register tile (8 accumulator chains, 6
-/// contiguous aligned L1 loads per k step). See [`bgemm_packed_avx512`]
-/// for the scheme; determinism is identical.
+/// Runs the packed kernel of `bp`'s (vector) tier with the A element
+/// `(r, k)` of lane `l` at `a[r·ars + k·aks + l]`. The A-tile scratch is
+/// taken out of its thread-local for the call, so the kernel itself runs
+/// inside the tier's `#[target_feature]` entry point.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn bgemm_packed_avx2(
-    lanes: usize,
-    a: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    m: usize,
-    kd: usize,
-    n: usize,
-    ars: usize,
-    aks: usize,
-) {
-    let kc = bgemm_kpanel(n, kd, 32);
-    BGEMM_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let atile = aligned_scratch(&mut buf, kc * 8);
-        // SAFETY: caller guarantees avx2/fma and shapes.
-        unsafe { bgemm_packed_kern_avx2(lanes, a, bp, c, m, kd, n, kc, atile, ars, aks) }
-    });
+fn bgemm_packed(a: &[f64], bp: &PackedB, c: &mut [f64], m: usize, ars: usize, aks: usize) {
+    let (lanes, kd, n) = (bp.lanes, bp.kd, bp.n);
+    let mut scratch = BGEMM_SCRATCH.with(std::cell::RefCell::take);
+    // SAFETY: `bp.tier` was the current tier when `bp` was packed, so its
+    // CPU features are available; callers assert the A and C shapes for
+    // these strides.
+    match bp.tier {
+        SimdTier::Avx512 => unsafe {
+            bgemm_packed_avx512(lanes, a, bp.packed(), c, m, kd, n, ars, aks, &mut scratch)
+        },
+        SimdTier::Avx2 => unsafe {
+            bgemm_packed_avx2(lanes, a, bp.packed(), c, m, kd, n, ars, aks, &mut scratch)
+        },
+        SimdTier::Scalar => unreachable!("the scalar tier has no packed kernel"),
+    }
+    BGEMM_SCRATCH.with(|cell| cell.replace(scratch));
 }
 
+entry_points!(
+    bgemm_packed_avx2,
+    bgemm_packed_avx512 = bgemm_packed_vec(
+        lanes: usize,
+        a: &[f64],
+        bp: &[f64],
+        c: &mut [f64],
+        m: usize,
+        kd: usize,
+        n: usize,
+        ars: usize,
+        aks: usize,
+        scratch: &mut Vec<f64>
+    )
+);
+
+/// Packed-B batched kernel: BLIS-style k-blocked panels consumed from
+/// [`PackedB`]'s contiguous 64-byte-aligned sections. The current
+/// `TILE_ROWS`-row A tile is packed into `scratch`, and the `TILE_ROWS`
+/// × 4-logical-column × `W`-lane register tile (2 × 4 × 4 on AVX2 with 6
+/// contiguous aligned L1 loads per k step; 4 × 4 × 8 on AVX-512 with 16
+/// independent accumulator chains, 21 of 32 zmm registers live and 8
+/// loads per k step) runs FMA-bound instead of fighting the interleaved
+/// layout's power-of-two row strides, which alias to the same cache sets
+/// and would turn every inner-loop load into an L2 miss.
+///
+/// Packing only copies values, and every `(r, j, l)` chain still applies
+/// k in ascending order — the k-panel split round-trips finished partial
+/// sums through `c`, which is exact in f64 — so results are
+/// bit-identical to an unblocked sweep and to `lanes` solo GEMM calls in
+/// the same tier.
+///
+/// # Safety
+/// The tier's CPU features must be available, `bp` is a pack of this
+/// tier for `(lanes, kd, n)`, and `a`/`c` are long enough for `m` rows
+/// at strides `ars`/`aks`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn bgemm_packed_kern_avx2(
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn bgemm_packed_vec<L: Lane>(
     lanes: usize,
     a: &[f64],
     bp: &[f64],
@@ -2433,124 +1968,48 @@ unsafe fn bgemm_packed_kern_avx2(
     m: usize,
     kd: usize,
     n: usize,
-    kc: usize,
-    atile: &mut [f64],
     ars: usize,
     aks: usize,
+    scratch: &mut Vec<f64>,
 ) {
+    let (w, tr) = (L::W, L::TILE_ROWS);
+    let kc = bgemm_kpanel::<L>(n, kd);
+    let atile = aligned_scratch(scratch, kc * tr * w);
     let rl = n * lanes;
-    let pa = a.as_ptr();
-    let pb = bp.as_ptr();
-    let pc = c.as_mut_ptr();
-    let nb = n / 4;
-    for (ls_i, ls) in (0..lanes).step_by(4).enumerate() {
+    let (pa, pb, pc) = (a.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    for (ls_i, ls) in (0..lanes).step_by(w).enumerate() {
         let mut k0 = 0;
         while k0 < kd {
             let kn = (kd - k0).min(kc);
-            let base = (ls_i * kd + k0) * (n * 4);
-            let pblk = pb.add(base);
-            let ptail = pb.add(base + nb * kn * 16);
+            let pblk = pb.add((ls_i * kd + k0) * n * w);
             let mut r = 0;
-            while r + 2 <= m {
+            while r + tr <= m {
+                // Pack the A tile: k ascending, `tr` row strips per k.
                 for k in 0..kn {
-                    for i in 0..2 {
+                    for i in 0..tr {
                         let src = (r + i) * ars + (k0 + k) * aks + ls;
-                        atile[k * 8 + i * 4..k * 8 + i * 4 + 4].copy_from_slice(&a[src..src + 4]);
+                        atile[(k * tr + i) * w..][..w].copy_from_slice(&a[src..src + w]);
                     }
                 }
-                let pap = atile.as_ptr();
-                let pc0 = pc.add(r * rl);
-                let pc1 = pc.add((r + 1) * rl);
-                for jb in 0..nb {
-                    let o = [
-                        jb * 4 * lanes + ls,
-                        (jb * 4 + 1) * lanes + ls,
-                        (jb * 4 + 2) * lanes + ls,
-                        (jb * 4 + 3) * lanes + ls,
-                    ];
-                    let pj = pblk.add(jb * kn * 16);
-                    let mut c0 = [
-                        _mm256_loadu_pd(pc0.add(o[0])),
-                        _mm256_loadu_pd(pc0.add(o[1])),
-                        _mm256_loadu_pd(pc0.add(o[2])),
-                        _mm256_loadu_pd(pc0.add(o[3])),
-                    ];
-                    let mut c1 = [
-                        _mm256_loadu_pd(pc1.add(o[0])),
-                        _mm256_loadu_pd(pc1.add(o[1])),
-                        _mm256_loadu_pd(pc1.add(o[2])),
-                        _mm256_loadu_pd(pc1.add(o[3])),
-                    ];
-                    for k in 0..kn {
-                        let av0 = _mm256_loadu_pd(pap.add(k * 8));
-                        let av1 = _mm256_loadu_pd(pap.add(k * 8 + 4));
-                        for q in 0..4 {
-                            let bv = _mm256_loadu_pd(pj.add(k * 16 + q * 4));
-                            c0[q] = _mm256_fmadd_pd(av0, bv, c0[q]);
-                            c1[q] = _mm256_fmadd_pd(av1, bv, c1[q]);
-                        }
-                    }
-                    for q in 0..4 {
-                        _mm256_storeu_pd(pc0.add(o[q]), c0[q]);
-                        _mm256_storeu_pd(pc1.add(o[q]), c1[q]);
-                    }
-                }
-                for jt in nb * 4..n {
-                    let o = jt * lanes + ls;
-                    let pj = ptail.add((jt - nb * 4) * kn * 4);
-                    let mut c0 = _mm256_loadu_pd(pc0.add(o));
-                    let mut c1 = _mm256_loadu_pd(pc1.add(o));
-                    for k in 0..kn {
-                        let bv = _mm256_loadu_pd(pj.add(k * 4));
-                        c0 = _mm256_fmadd_pd(_mm256_loadu_pd(pap.add(k * 8)), bv, c0);
-                        c1 = _mm256_fmadd_pd(_mm256_loadu_pd(pap.add(k * 8 + 4)), bv, c1);
-                    }
-                    _mm256_storeu_pd(pc0.add(o), c0);
-                    _mm256_storeu_pd(pc1.add(o), c1);
-                }
-                r += 2;
+                let pt = atile.as_ptr();
+                bgemm_rows::<L>(
+                    tr,
+                    pt,
+                    w,
+                    tr * w,
+                    pblk,
+                    kn,
+                    pc.add(r * rl + ls),
+                    rl,
+                    n,
+                    lanes,
+                );
+                r += tr;
             }
+            // Row tail (m % TILE_ROWS): single rows straight from A.
             while r < m {
-                let pa0 = pa.add(r * ars + ls);
-                let pc0 = pc.add(r * rl);
-                for jb in 0..nb {
-                    let o = [
-                        jb * 4 * lanes + ls,
-                        (jb * 4 + 1) * lanes + ls,
-                        (jb * 4 + 2) * lanes + ls,
-                        (jb * 4 + 3) * lanes + ls,
-                    ];
-                    let pj = pblk.add(jb * kn * 16);
-                    let mut cv = [
-                        _mm256_loadu_pd(pc0.add(o[0])),
-                        _mm256_loadu_pd(pc0.add(o[1])),
-                        _mm256_loadu_pd(pc0.add(o[2])),
-                        _mm256_loadu_pd(pc0.add(o[3])),
-                    ];
-                    for k in 0..kn {
-                        let av = _mm256_loadu_pd(pa0.add((k0 + k) * aks));
-                        for q in 0..4 {
-                            cv[q] =
-                                _mm256_fmadd_pd(av, _mm256_loadu_pd(pj.add(k * 16 + q * 4)), cv[q]);
-                        }
-                    }
-                    for q in 0..4 {
-                        _mm256_storeu_pd(pc0.add(o[q]), cv[q]);
-                    }
-                }
-                for jt in nb * 4..n {
-                    let o = jt * lanes + ls;
-                    let pj = ptail.add((jt - nb * 4) * kn * 4);
-                    let mut cv = _mm256_loadu_pd(pc0.add(o));
-                    for k in 0..kn {
-                        cv = _mm256_fmadd_pd(
-                            _mm256_loadu_pd(pa0.add((k0 + k) * aks)),
-                            _mm256_loadu_pd(pj.add(k * 4)),
-                            cv,
-                        );
-                    }
-                    _mm256_storeu_pd(pc0.add(o), cv);
-                }
+                let pr = pa.add(r * ars + k0 * aks + ls);
+                bgemm_rows::<L>(1, pr, ars, aks, pblk, kn, pc.add(r * rl + ls), rl, n, lanes);
                 r += 1;
             }
             k0 += kn;
@@ -2558,192 +2017,70 @@ unsafe fn bgemm_packed_kern_avx2(
     }
 }
 
-/// AVX-512 packed-B kernel: BLIS-style k-blocked panels consumed from
-/// [`PackedB`]'s contiguous 64-byte-aligned sections. The current 4-row
-/// A tile is packed into per-thread scratch, and the 4-row ×
-/// 4-logical-column × 8-lane register tile (16 independent accumulator
-/// chains, 21 of 32 zmm registers live, 8 contiguous aligned L1 loads
-/// per k step) runs FMA-bound instead of fighting the interleaved
-/// layout's power-of-two row strides, which alias to the same cache
-/// sets and would turn every inner-loop load into an L2 miss.
-///
-/// Packing only copies values, and every `(r, j, l)` chain still
-/// applies k in ascending order — the k-panel split round-trips
-/// finished partial sums through `c`, which is exact in f64 — so
-/// results are bit-identical to an unblocked sweep and to `lanes` solo
-/// GEMM calls in the same tier.
+/// One k-panel of [`bgemm_packed_vec`] for `rows` (≤ 4, a constant at
+/// each call site) C rows of one lane strip: every 4-column block, then
+/// the `n % 4` tail columns. The A element (row `i`, panel step `k`) is
+/// at `pa + i·ars + k·aks`, `pb` is the strip's packed k-panel and C row
+/// `i`, column `j` is at `pc + i·rl + j·lanes`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn bgemm_packed_avx512(
-    lanes: usize,
-    a: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    m: usize,
-    kd: usize,
-    n: usize,
+#[inline(always)]
+unsafe fn bgemm_rows<L: Lane>(
+    rows: usize,
+    pa: *const f64,
     ars: usize,
     aks: usize,
-) {
-    let kc = bgemm_kpanel(n, kd, 64);
-    BGEMM_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let atile = aligned_scratch(&mut buf, kc * 32);
-        // SAFETY: caller guarantees avx512f/fma and shapes.
-        unsafe { bgemm_packed_kern_avx512(lanes, a, bp, c, m, kd, n, kc, atile, ars, aks) }
-    });
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn bgemm_packed_kern_avx512(
-    lanes: usize,
-    a: &[f64],
-    bp: &[f64],
-    c: &mut [f64],
-    m: usize,
-    kd: usize,
+    pb: *const f64,
+    kn: usize,
+    pc: *mut f64,
+    rl: usize,
     n: usize,
-    kc: usize,
-    atile: &mut [f64],
-    ars: usize,
-    aks: usize,
+    lanes: usize,
 ) {
-    let rl = n * lanes;
-    let pa = a.as_ptr();
-    let pb = bp.as_ptr();
-    let pc = c.as_mut_ptr();
+    let w = L::W;
     let nb = n / 4;
-    for (ls_i, ls) in (0..lanes).step_by(8).enumerate() {
-        let mut k0 = 0;
-        while k0 < kd {
-            let kn = (kd - k0).min(kc);
-            let base = (ls_i * kd + k0) * (n * 8);
-            let pblk = pb.add(base);
-            let ptail = pb.add(base + nb * kn * 32);
-            let mut r = 0;
-            while r + 4 <= m {
-                // Pack the 4-row A tile: k ascending, 4 row strips per k.
-                for k in 0..kn {
-                    for i in 0..4 {
-                        let src = (r + i) * ars + (k0 + k) * aks + ls;
-                        atile[k * 32 + i * 8..k * 32 + i * 8 + 8].copy_from_slice(&a[src..src + 8]);
-                    }
-                }
-                let pap = atile.as_ptr();
-                let pcr = [
-                    pc.add(r * rl),
-                    pc.add((r + 1) * rl),
-                    pc.add((r + 2) * rl),
-                    pc.add((r + 3) * rl),
-                ];
-                for jb in 0..nb {
-                    let o = [
-                        jb * 4 * lanes + ls,
-                        (jb * 4 + 1) * lanes + ls,
-                        (jb * 4 + 2) * lanes + ls,
-                        (jb * 4 + 3) * lanes + ls,
-                    ];
-                    let pj = pblk.add(jb * kn * 32);
-                    let mut acc = [[_mm512_setzero_pd(); 4]; 4];
-                    for i in 0..4 {
-                        for q in 0..4 {
-                            acc[i][q] = _mm512_loadu_pd(pcr[i].add(o[q]));
-                        }
-                    }
-                    for k in 0..kn {
-                        let av = [
-                            _mm512_loadu_pd(pap.add(k * 32)),
-                            _mm512_loadu_pd(pap.add(k * 32 + 8)),
-                            _mm512_loadu_pd(pap.add(k * 32 + 16)),
-                            _mm512_loadu_pd(pap.add(k * 32 + 24)),
-                        ];
-                        for q in 0..4 {
-                            let bv = _mm512_loadu_pd(pj.add(k * 32 + q * 8));
-                            for i in 0..4 {
-                                acc[i][q] = _mm512_fmadd_pd(av[i], bv, acc[i][q]);
-                            }
-                        }
-                    }
-                    for i in 0..4 {
-                        for q in 0..4 {
-                            _mm512_storeu_pd(pcr[i].add(o[q]), acc[i][q]);
-                        }
-                    }
-                }
-                // Column tail (n % 4) for these 4 rows.
-                for jt in nb * 4..n {
-                    let o = jt * lanes + ls;
-                    let pj = ptail.add((jt - nb * 4) * kn * 8);
-                    let mut acc = [
-                        _mm512_loadu_pd(pcr[0].add(o)),
-                        _mm512_loadu_pd(pcr[1].add(o)),
-                        _mm512_loadu_pd(pcr[2].add(o)),
-                        _mm512_loadu_pd(pcr[3].add(o)),
-                    ];
-                    for k in 0..kn {
-                        let bv = _mm512_loadu_pd(pj.add(k * 8));
-                        for i in 0..4 {
-                            acc[i] = _mm512_fmadd_pd(
-                                _mm512_loadu_pd(pap.add(k * 32 + i * 8)),
-                                bv,
-                                acc[i],
-                            );
-                        }
-                    }
-                    for i in 0..4 {
-                        _mm512_storeu_pd(pcr[i].add(o), acc[i]);
-                    }
-                }
-                r += 4;
+    for jb in 0..nb {
+        let pj = pb.add(jb * kn * 4 * w);
+        let pcj = pc.add(jb * 4 * lanes);
+        let mut acc = [[L::splat(0.0); 4]; 4];
+        for i in 0..rows {
+            for q in 0..4 {
+                acc[i][q] = L::load(pcj.add(i * rl + q * lanes));
             }
-            // Row tail (m % 4): single rows straight from A.
-            while r < m {
-                let pa0 = pa.add(r * ars + ls);
-                let pc0 = pc.add(r * rl);
-                for jb in 0..nb {
-                    let o = [
-                        jb * 4 * lanes + ls,
-                        (jb * 4 + 1) * lanes + ls,
-                        (jb * 4 + 2) * lanes + ls,
-                        (jb * 4 + 3) * lanes + ls,
-                    ];
-                    let pj = pblk.add(jb * kn * 32);
-                    let mut cv = [
-                        _mm512_loadu_pd(pc0.add(o[0])),
-                        _mm512_loadu_pd(pc0.add(o[1])),
-                        _mm512_loadu_pd(pc0.add(o[2])),
-                        _mm512_loadu_pd(pc0.add(o[3])),
-                    ];
-                    for k in 0..kn {
-                        let av = _mm512_loadu_pd(pa0.add((k0 + k) * aks));
-                        for q in 0..4 {
-                            cv[q] =
-                                _mm512_fmadd_pd(av, _mm512_loadu_pd(pj.add(k * 32 + q * 8)), cv[q]);
-                        }
-                    }
-                    for q in 0..4 {
-                        _mm512_storeu_pd(pc0.add(o[q]), cv[q]);
-                    }
-                }
-                for jt in nb * 4..n {
-                    let o = jt * lanes + ls;
-                    let pj = ptail.add((jt - nb * 4) * kn * 8);
-                    let mut cv = _mm512_loadu_pd(pc0.add(o));
-                    for k in 0..kn {
-                        cv = _mm512_fmadd_pd(
-                            _mm512_loadu_pd(pa0.add((k0 + k) * aks)),
-                            _mm512_loadu_pd(pj.add(k * 8)),
-                            cv,
-                        );
-                    }
-                    _mm512_storeu_pd(pc0.add(o), cv);
-                }
-                r += 1;
+        }
+        for k in 0..kn {
+            let mut av = [L::splat(0.0); 4];
+            for i in 0..rows {
+                av[i] = L::load(pa.add(i * ars + k * aks));
             }
-            k0 += kn;
+            for q in 0..4 {
+                let bv = L::load(pj.add((k * 4 + q) * w));
+                for i in 0..rows {
+                    acc[i][q] = av[i].mul_add(bv, acc[i][q]);
+                }
+            }
+        }
+        for i in 0..rows {
+            for q in 0..4 {
+                acc[i][q].store(pcj.add(i * rl + q * lanes));
+            }
+        }
+    }
+    for jt in nb * 4..n {
+        let pj = pb.add((nb * 4 * kn + (jt - nb * 4) * kn) * w);
+        let pcj = pc.add(jt * lanes);
+        let mut acc = [L::splat(0.0); 4];
+        for i in 0..rows {
+            acc[i] = L::load(pcj.add(i * rl));
+        }
+        for k in 0..kn {
+            let bv = L::load(pj.add(k * w));
+            for i in 0..rows {
+                acc[i] = L::load(pa.add(i * ars + k * aks)).mul_add(bv, acc[i]);
+            }
+        }
+        for i in 0..rows {
+            acc[i].store(pcj.add(i * rl));
         }
     }
 }
@@ -2759,6 +2096,7 @@ fn aligned_scratch(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     let off = (buf.as_ptr() as usize).wrapping_neg() % 64 / 8;
     &mut buf[off..off + len]
 }
+
 /// Fused Adam update over `lanes` interleaved model instances with
 /// **per-lane** bias corrections and learning rates (co-executed
 /// instances may sit at different step counts `t`): element `i` belongs
@@ -2805,7 +2143,7 @@ pub fn adam_update_multi(
     );
     #[cfg(target_arch = "x86_64")]
     // SAFETY: each vector tier implies its CPU features are available;
-    // lanes % 8 == 0 keeps constant strips inside one lane run.
+    // lanes % 8 == 0 keeps each vector's constants inside one lane run.
     match current_tier() {
         SimdTier::Avx512 => {
             return unsafe {
@@ -2827,58 +2165,27 @@ pub fn adam_update_multi(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn adam_update_multi_avx2(
-    lanes: usize,
-    p: &mut [f64],
-    g: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    b1: f64,
-    b2: f64,
-    bc1: &[f64],
-    bc2: &[f64],
-    lr: &[f64],
-    eps: f64,
-) {
-    let n = p.len();
-    let (b1v, b2v) = (_mm256_set1_pd(b1), _mm256_set1_pd(b2));
-    let (c1v, c2v) = (_mm256_set1_pd(1.0 - b1), _mm256_set1_pd(1.0 - b2));
-    let epsv = _mm256_set1_pd(eps);
-    let (pp, pg, pm, pv) = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
-    let mut i = 0;
-    // lanes % 8 == 0 means every 4-wide strip starting at a multiple of
-    // 4 stays inside one lane run, so the per-lane constants are
-    // contiguous loads at offset i % lanes.
-    while i + 4 <= n {
-        let l = i % lanes;
-        let bc1v = _mm256_loadu_pd(bc1.as_ptr().add(l));
-        let bc2v = _mm256_loadu_pd(bc2.as_ptr().add(l));
-        let lrv = _mm256_loadu_pd(lr.as_ptr().add(l));
-        let gv = _mm256_loadu_pd(pg.add(i));
-        let mv = _mm256_fmadd_pd(b1v, _mm256_loadu_pd(pm.add(i)), _mm256_mul_pd(c1v, gv));
-        let vv = _mm256_fmadd_pd(
-            b2v,
-            _mm256_loadu_pd(pv.add(i)),
-            _mm256_mul_pd(_mm256_mul_pd(c2v, gv), gv),
-        );
-        _mm256_storeu_pd(pm.add(i), mv);
-        _mm256_storeu_pd(pv.add(i), vv);
-        let mh = _mm256_div_pd(mv, bc1v);
-        let vh = _mm256_div_pd(vv, bc2v);
-        let denom = _mm256_add_pd(_mm256_sqrt_pd(vh), epsv);
-        let step = _mm256_div_pd(_mm256_mul_pd(lrv, mh), denom);
-        _mm256_storeu_pd(pp.add(i), _mm256_sub_pd(_mm256_loadu_pd(pp.add(i)), step));
-        i += 4;
-    }
-}
+entry_points!(
+    adam_update_multi_avx2,
+    adam_update_multi_avx512 = adam_update_multi_vec(
+        lanes: usize,
+        p: &mut [f64],
+        g: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        b1: f64,
+        b2: f64,
+        bc1: &[f64],
+        bc2: &[f64],
+        lr: &[f64],
+        eps: f64
+    )
+);
 
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn adam_update_multi_avx512(
+#[inline(always)]
+unsafe fn adam_update_multi_vec<L: Lane>(
     lanes: usize,
     p: &mut [f64],
     g: &[f64],
@@ -2892,31 +2199,16 @@ unsafe fn adam_update_multi_avx512(
     eps: f64,
 ) {
     let n = p.len();
-    let (b1v, b2v) = (_mm512_set1_pd(b1), _mm512_set1_pd(b2));
-    let (c1v, c2v) = (_mm512_set1_pd(1.0 - b1), _mm512_set1_pd(1.0 - b2));
-    let epsv = _mm512_set1_pd(eps);
-    let (pp, pg, pm, pv) = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+    let step = AdamStep::<L>::new(b1, b2, eps);
+    let ptrs = (p.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+    // `n` and `lanes` are multiples of 8, so whole vectors cover the
+    // slices and each vector's constants are contiguous at `i % lanes`.
     let mut i = 0;
-    while i + 8 <= n {
+    while i < n {
         let l = i % lanes;
-        let bc1v = _mm512_loadu_pd(bc1.as_ptr().add(l));
-        let bc2v = _mm512_loadu_pd(bc2.as_ptr().add(l));
-        let lrv = _mm512_loadu_pd(lr.as_ptr().add(l));
-        let gv = _mm512_loadu_pd(pg.add(i));
-        let mv = _mm512_fmadd_pd(b1v, _mm512_loadu_pd(pm.add(i)), _mm512_mul_pd(c1v, gv));
-        let vv = _mm512_fmadd_pd(
-            b2v,
-            _mm512_loadu_pd(pv.add(i)),
-            _mm512_mul_pd(_mm512_mul_pd(c2v, gv), gv),
-        );
-        _mm512_storeu_pd(pm.add(i), mv);
-        _mm512_storeu_pd(pv.add(i), vv);
-        let mh = _mm512_div_pd(mv, bc1v);
-        let vh = _mm512_div_pd(vv, bc2v);
-        let denom = _mm512_add_pd(_mm512_sqrt_pd(vh), epsv);
-        let step = _mm512_div_pd(_mm512_mul_pd(lrv, mh), denom);
-        _mm512_storeu_pd(pp.add(i), _mm512_sub_pd(_mm512_loadu_pd(pp.add(i)), step));
-        i += 8;
+        let (c1, c2, rate) = (bc1.as_ptr().add(l), bc2.as_ptr().add(l), lr.as_ptr().add(l));
+        step.apply(ptrs, i, L::W, L::load(c1), L::load(c2), L::load(rate));
+        i += L::W;
     }
 }
 

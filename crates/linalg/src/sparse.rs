@@ -124,12 +124,15 @@ impl Csr {
             .map_or(0.0, |(_, v)| v)
     }
 
-    /// SpMV: `y = A x` (SIMD-dispatched: the AVX2 tier gathers four `x`
-    /// entries per step; see `crate::simd::spmv`).
+    /// SpMV: `y = A x` (SIMD-dispatched: the vector tiers gather four or
+    /// eight `x` entries per step; see `crate::simd::spmv`).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
+        // The vector tiers gather `x[col_idx[p]]` without bounds checks:
+        // `from_triplets` keeps every column index below `cols`, and this
+        // assert keeps `cols` within `x`.
         assert_eq!(x.len(), self.cols, "spmv x dim");
         assert_eq!(y.len(), self.rows, "spmv y dim");
         crate::simd::spmv(&self.row_ptr, &self.col_idx, &self.values, x, y);
@@ -276,6 +279,20 @@ mod tests {
         assert!(sample().is_symmetric(0.0));
         let asym = Csr::from_triplets(2, 2, &[(0, 1, 1.0)]);
         assert!(!asym.is_symmetric(1e-12));
+    }
+
+    #[test]
+    fn short_x_panics_under_every_tier() {
+        // The vector tiers' gathers are unchecked, so the length check
+        // must fire before any tier's kernel runs.
+        let a = Csr::from_triplets(2, 9, &[(0, 8, 1.0), (1, 0, 2.0)]);
+        for &t in crate::simd::available_tiers() {
+            let res = std::panic::catch_unwind(|| {
+                let mut y = vec![0.0; 2];
+                crate::simd::with_tier(t, || a.mul_vec(&[1.0; 8], &mut y));
+            });
+            assert!(res.is_err(), "{t:?}: mul_vec accepted a short x");
+        }
     }
 
     #[test]
