@@ -450,7 +450,9 @@ impl Lane for Avx512 {
 /// `$avx512`, each instantiating the generic vector body `$body` at its
 /// tier's lane type. Calling one is `unsafe`: the caller must have
 /// selected that tier (so its CPU features are available) and must meet
-/// `$body`'s own preconditions.
+/// `$body`'s own preconditions — its `# Safety` section where it has
+/// one, else the shape checks its safe public wrapper asserts before
+/// dispatching.
 macro_rules! entry_points {
     ($vis:vis $avx2:ident, $avx512:ident = $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
